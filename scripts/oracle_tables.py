@@ -3,23 +3,24 @@
 
 The oracle averages exterior-power characters over conjugacy classes,
 so it reaches n well past what the explicit kernel engine handles;
-each row is checked against the closed-form vector on the fly.
+each row is checked against the closed-form vector, and the first
+mismatch ends the listing with exit code 1.
 
 usage: oracle_tables.py [n_max]
 """
 
 import sys
 
-from equivext.characters import invariant_dim
-from equivext.dimformulas import TABLE_FAMILIES, formula_table
-from equivext.spaces import SpaceDescriptor
+from equivext.cli import TABLE_ORDER, _oracle_extension
+from equivext.dimformulas import formula_table
 
 
 def main(n_max: int = 8) -> int:
-    for n in range(2, n_max + 1):
+    for entry in _oracle_extension(2, n_max):
+        n = entry["n"]
         print(f"n = {n}")
-        for family, (a, b) in TABLE_FAMILIES.items():
-            dims = [invariant_dim(SpaceDescriptor(n, k, a, b)) for k in range(2 * n + 1)]
+        for family in TABLE_ORDER:
+            dims = entry[family]
             match = dims == list(formula_table(family, n).dims)
             tag = "OK" if match else "MISMATCH"
             print(f"  {family:9s} ({','.join(map(str, dims))})  {tag}")

@@ -8,7 +8,7 @@ the space of degree-1 self-extensions of the distinguished extension is
 """
 
 from .chase import ChaseProblem, ChaseReport, TheoremFailure, solve, verify_theorem
-from .characters import ClassFunction, char_rho, char_wedge, invariant_dim
+from .characters import invariant_dim
 from .dimformulas import (
     GradedDimVector,
     d_vector,
@@ -43,7 +43,6 @@ from .yoneda import (
 __all__ = [
     "ChaseProblem",
     "ChaseReport",
-    "ClassFunction",
     "ConjugacyClass",
     "DistinguishedClass",
     "GradedDimVector",
@@ -59,8 +58,6 @@ __all__ = [
     "TheoremFailure",
     "act",
     "build_class",
-    "char_rho",
-    "char_wedge",
     "compose",
     "conjugacy_classes",
     "d_vector",

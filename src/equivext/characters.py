@@ -3,104 +3,63 @@
 Computes the dimension of the fixed subspace of W(n; k, a, b) by averaging
 characters over conjugacy classes instead of materializing any vectors,
 so it scales far past the explicit kernel engine and serves as an
-independent cross-check of it. Exterior-power characters come from the
-Newton recurrence e_k = (1/k) * sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i with
-power sums p_i(sigma) = chi(sigma^i); powers of a class are evaluated
-combinatorially on cycle types (a c-cycle raised to the i-th power falls
-apart into gcd(c, i) cycles of length c/gcd(c, i)), so no permutation is
-ever materialized.
+independent cross-check of it. On a class of cycle type lambda, the
+exterior-power characters of the (n+1)-dimensional permutation module P
+are read off one generating function,
+
+    sum_k chi_{wedge^k P}(sigma) t^k = det(1 + t sigma)
+                                     = prod_{c in lambda} (1 - (-t)^c),
+
+because a c-cycle has the c-th roots of unity as eigenvalues (Macdonald,
+Symmetric Functions and Hall Polynomials, I.2). P is the standard
+representation rho plus the trivial one, so dividing by (1 + t) leaves
+rho; the wedge part of W is built on rho + rho, whose generating
+function is the square. Every leg, dual or plain, contributes the
+character of rho, (fixed points) - 1. All arithmetic is on integers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 from .spaces import SpaceDescriptor
 from .symgroup import conjugacy_classes
 
 
-def power_cycle_type(lam: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """Cycle type of sigma^i for sigma of cycle type ``lam``."""
-    parts = []
-    for c in lam:
-        g = math.gcd(c, i)
-        parts.extend([c // g] * g)
-    return tuple(sorted(parts, reverse=True))
+def wedge_character(cycle_type: tuple[int, ...]) -> tuple[int, ...]:
+    """Characters of wedge^k (rho + rho), k = 0..2n, on one class.
 
-
-@lru_cache(maxsize=None)
-def _class_index(n: int) -> dict[tuple[int, ...], int]:
-    return {cls.cycle_type: i for i, cls in enumerate(conjugacy_classes(n))}
-
-
-@dataclass(frozen=True)
-class ClassFunction:
-    """One rational value per conjugacy class of the permutations of n+1."""
-
-    n: int
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(conjugacy_classes(self.n)):
-            raise ValueError("value count does not match the class count")
-
-    def on_cycle_type(self, lam: tuple[int, ...]) -> Fraction:
-        return self.values[_class_index(self.n)[lam]]
-
-    def at_power(self, lam: tuple[int, ...], i: int) -> Fraction:
-        return self.on_cycle_type(power_cycle_type(lam, i))
-
-    def scaled(self, factor: int) -> "ClassFunction":
-        return ClassFunction(self.n, tuple(v * factor for v in self.values))
-
-
-def char_rho(n: int) -> ClassFunction:
-    """Character of the n-dimensional standard representation.
-
-    Value on a class is (number of fixed points) - 1. The dual carries
-    the same character since all values are rational.
+    ``cycle_type`` is a partition of n+1. Entry k is the coefficient of
+    t^k in (det(1 + t sigma) / (1 + t))^2.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    values = []
-    for cls in conjugacy_classes(n):
-        fixed = sum(1 for part in cls.cycle_type if part == 1)
-        values.append(Fraction(fixed - 1))
-    return ClassFunction(n, tuple(values))
-
-
-def char_wedge(k: int, base: ClassFunction) -> ClassFunction:
-    """Character of the k-th exterior power of ``base``."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    classes = conjugacy_classes(base.n)
-    values = []
-    for cls in classes:
-        lam = cls.cycle_type
-        e = [Fraction(1)] + [Fraction(0)] * k
-        for degree in range(1, k + 1):
-            total = Fraction(0)
-            for i in range(1, degree + 1):
-                term = e[degree - i] * base.at_power(lam, i)
-                total += term if i % 2 == 1 else -term
-            e[degree] = total / degree
-        values.append(e[k])
-    return ClassFunction(base.n, tuple(values))
+    det = [1] + [0] * sum(cycle_type)
+    degree = 0
+    for c in cycle_type:  # times 1 - (-1)^c t^c, in place from the top
+        sign = -((-1) ** c)
+        for i in range(degree, -1, -1):
+            det[i + c] += sign * det[i]
+        degree += c
+    # Division by 1 + t is exact: sigma fixes the sum of the basis
+    # vectors of P, so t = -1 is a root of det(1 + t sigma).
+    rho = [det[0]]
+    for x in det[1:-1]:
+        rho.append(x - rho[-1])
+    square = [0] * (2 * len(rho) - 1)
+    for i, x in enumerate(rho):
+        for j, y in enumerate(rho):
+            square[i + j] += x * y
+    return tuple(square)
 
 
 def invariant_dim(s: SpaceDescriptor) -> int:
     """Dimension of the fixed subspace of W(n; k, a, b) by class averaging."""
-    n = s.n
-    classes = conjugacy_classes(n)
-    rho = char_rho(n)
-    wedge = char_wedge(s.k, rho.scaled(2))
-    total = Fraction(0)
-    for i, cls in enumerate(classes):
-        total += cls.class_size * wedge.values[i] * rho.values[i] ** (s.a + s.b)
-    average = total / math.factorial(n + 1)
-    if average.denominator != 1 or average < 0:
-        raise RuntimeError(f"non-integral invariant average {average} for {s}")
-    return int(average)
+    total = 0
+    for cls in conjugacy_classes(s.n):
+        chi = wedge_character(cls.cycle_type)
+        if s.k < len(chi):
+            rho = cls.cycle_type.count(1) - 1
+            total += cls.class_size * chi[s.k] * rho ** (s.a + s.b)
+    order = math.factorial(s.n + 1)
+    if total % order or total < 0:
+        raise RuntimeError(f"non-integral invariant average {total}/{order} for {s}")
+    return total // order

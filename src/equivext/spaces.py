@@ -218,9 +218,11 @@ def monomials(s: SpaceDescriptor) -> tuple[Monomial, ...]:
     return result
 
 
-def _index_images(sigma: Permutation, i: int, n: int) -> tuple[tuple[int, int], ...]:
-    """Expansion of the image of index i: ((coeff, index), ...) with index <= n."""
-    j = sigma(i)
+def _expand_index(j: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Index j in 1..n+1 as ((coeff, index), ...) with every index <= n.
+
+    Index n+1 is eliminated through e_{n+1} = -(e_1 + ... + e_n).
+    """
     if j <= n:
         return ((1, j),)
     return tuple((-1, t) for t in range(1, n + 1))
@@ -228,11 +230,11 @@ def _index_images(sigma: Permutation, i: int, n: int) -> tuple[tuple[int, int], 
 
 def act_monomial(sigma: Permutation, m: Monomial, n: int) -> dict[Monomial, Fraction]:
     wedge_options = [
-        tuple((c, (letter, t)) for c, t in _index_images(sigma, idx, n))
+        tuple((c, (letter, t)) for c, t in _expand_index(sigma(idx), n))
         for letter, idx in m.wedge
     ]
-    dual_options = [_index_images(sigma, i, n) for i in m.duals]
-    leg_options = [_index_images(sigma, i, n) for i in m.legs]
+    dual_options = [_expand_index(sigma(i), n) for i in m.duals]
+    leg_options = [_expand_index(sigma(i), n) for i in m.legs]
     out: dict[Monomial, Fraction] = {}
     for wedge_pick in itertools.product(*wedge_options):
         wsign = 1

@@ -39,6 +39,7 @@ from .spaces import (
     Monomial,
     SpaceDescriptor,
     SparseVector,
+    _expand_index,
     _sort_wedge,
     act,
     invariant_basis,
@@ -81,12 +82,6 @@ def equivariant_pair(n: int, dual_index: int, index: int) -> Fraction:
     return base - Fraction(1, n + 1)
 
 
-def _expanded_indices(i: int, n: int) -> tuple[tuple[int, int], ...]:
-    if i <= n:
-        return ((1, i),)
-    return tuple((-1, t) for t in range(1, n + 1))
-
-
 def _orbit_sum(n: int, slots: list[tuple[str, str | None]]) -> dict[Monomial, Fraction]:
     """Sum over i = 1..n+1 of a monomial pattern with every slot at index i.
 
@@ -96,7 +91,7 @@ def _orbit_sum(n: int, slots: list[tuple[str, str | None]]) -> dict[Monomial, Fr
     """
     out: dict[Monomial, Fraction] = {}
     for i in range(1, n + 2):
-        options = [_expanded_indices(i, n) for _ in slots]
+        options = [_expand_index(i, n)] * len(slots)
         for picks in itertools.product(*options):
             sign = 1
             wedge = []

@@ -1,52 +1,41 @@
 import math
-from fractions import Fraction
 
 import pytest
 
-from equivext.characters import (
-    ClassFunction,
-    char_rho,
-    char_wedge,
-    invariant_dim,
-    power_cycle_type,
-)
+from equivext.characters import invariant_dim, wedge_character
+from equivext.cli import _battery_descriptors
+from equivext.dimformulas import TABLE_FAMILIES, formula_table
 from equivext.spaces import SpaceDescriptor, invariant_basis
 from equivext.symgroup import conjugacy_classes
 
 
-def test_power_cycle_type():
-    assert power_cycle_type((3,), 2) == (3,)
-    assert power_cycle_type((3,), 3) == (1, 1, 1)
-    assert power_cycle_type((4, 2), 2) == (2, 2, 1, 1)
-    assert power_cycle_type((6,), 4) == (3, 3)
-
-
 def test_standard_character_values_n2():
-    # class order: (3), (2,1), (1,1,1)
-    assert char_rho(2).values == (Fraction(-1), Fraction(0), Fraction(2))
+    # class order: (3), (2,1), (1,1,1); rho takes the values (-1, 0, 2)
+    degree_one = [wedge_character(c.cycle_type)[1] for c in conjugacy_classes(2)]
+    assert degree_one == [2 * -1, 2 * 0, 2 * 2]
 
 
 def test_wedge_character_trivial_degrees():
-    rho = char_rho(3)
-    assert char_wedge(0, rho).values == tuple(Fraction(1) for _ in rho.values)
-    assert char_wedge(1, rho) == rho
+    for n in range(1, 7):
+        for cls in conjugacy_classes(n):
+            chi = wedge_character(cls.cycle_type)
+            assert len(chi) == 2 * n + 1
+            assert chi[0] == 1
+            assert chi[1] == 2 * (cls.cycle_type.count(1) - 1)
 
 
 def test_wedge_square_average_is_one_n2():
     # degree-2 invariants of the doubled standard character
-    base = char_rho(2).scaled(2)
-    wedge2 = char_wedge(2, base)
     classes = conjugacy_classes(2)
-    total = sum(c.class_size * v for c, v in zip(classes, wedge2.values))
-    assert total / math.factorial(3) == 1
+    total = sum(c.class_size * wedge_character(c.cycle_type)[2] for c in classes)
+    assert total == math.factorial(3)
+    assert invariant_dim(SpaceDescriptor(2, 2, 0, 0)) == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_wedge_character_dimension_at_identity(n):
-    base = char_rho(n).scaled(2)
-    for k in range(2 * n + 1):
-        wedge = char_wedge(k, base)
-        assert wedge.values[-1] == math.comb(2 * n, k)
+    identity = (1,) * (n + 1)
+    assert wedge_character(identity) == tuple(math.comb(2 * n, k) for k in range(2 * n + 1))
 
 
 def test_invariant_dims_match_published_entries():
@@ -56,32 +45,35 @@ def test_invariant_dims_match_published_entries():
 
 def test_negative_k_rejected():
     with pytest.raises(ValueError):
-        char_wedge(-1, char_rho(2))
-
-
-def test_class_function_length_checked():
-    with pytest.raises(ValueError):
-        ClassFunction(2, (Fraction(1),))
+        invariant_dim(SpaceDescriptor(2, -1, 0, 0))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_oracle_matches_explicit_kernel_on_battery_spaces(n):
-    descriptors = [
-        SpaceDescriptor(n, 0, 0, 0),
-        SpaceDescriptor(n, 1, 0, 1),
-        SpaceDescriptor(n, 2, 0, 0),
-        SpaceDescriptor(n, 3, 0, 1),
-        SpaceDescriptor(n, 1, 1, 0),
-        SpaceDescriptor(n, 2, 1, 1),
-        SpaceDescriptor(n, 1, 1, 1),
-        SpaceDescriptor(n, 2, 0, 1),
-    ]
-    for s in descriptors:
+    for s in _battery_descriptors(n):
         assert invariant_dim(s) == invariant_basis(s).dim
+
+
+# Leg counts above 1: the character of each leg enters with exponent a + b.
+MULTILEG_SPACES = [
+    SpaceDescriptor(2, k, a, b)
+    for a in range(3)
+    for b in range(3)
+    if 2 in (a, b)
+    for k in range(5)
+] + [SpaceDescriptor(3, k, a, 3 - a) for a in range(4) for k in range(7)]
+
+
+@pytest.mark.parametrize(
+    "s", MULTILEG_SPACES, ids=lambda s: f"n{s.n}-k{s.k}-a{s.a}-b{s.b}"
+)
+def test_oracle_matches_explicit_kernel_on_multileg_spaces(s):
+    assert invariant_dim(s) == invariant_basis(s).dim
 
 
 def test_oracle_scales_to_large_groups():
     # class averaging stays exact and integral far past the kernel engine
-    dims = [invariant_dim(SpaceDescriptor(8, k, 1, 1)) for k in range(17)]
-    assert dims == list(reversed(dims))
-    assert dims[0] == 1 and dims[1] == 2
+    for n in range(2, 13):
+        for family, (a, b) in TABLE_FAMILIES.items():
+            dims = [invariant_dim(SpaceDescriptor(n, k, a, b)) for k in range(2 * n + 1)]
+            assert dims == list(formula_table(family, n).dims), (family, n)
