@@ -39,6 +39,8 @@ class SparseMatrix:
                 raise ValueError(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
             if v == 0:
                 raise ValueError(f"stored zero entry at ({r},{c})")
+            if isinstance(v, float):
+                raise TypeError(f"float entry {v!r} at ({r},{c}); entries must be exact")
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "SparseMatrix":
@@ -91,9 +93,11 @@ def _eliminate(rows: list[dict[int, Fraction]], ncols: int) -> dict[int, int]:
         p = min(candidates)
         prow = rows[p]
         pval = prow[col]
-        if pval != _ONE:
-            for c in list(prow):
-                prow[c] /= pval
+        # Normalizing by the exact inverse also turns int entries into Fractions.
+        if pval != _ONE or not all(type(v) is Fraction for v in prow.values()):
+            inv = _ONE / pval
+            for c in prow:
+                prow[c] *= inv
         for r in sorted(holders - {p}):
             row = rows[r]
             f = row[col]

@@ -10,12 +10,14 @@ only ever mention indices 1..n. The wedge factors are kept strictly
 increasing in the total order "all u-generators before all v-generators,
 each block by index", which fixes every sign once and for all.
 
-Invariant subspaces are computed as the common kernel of (M_sigma - I)
-for the two group generators; since those generate the full group, this
-equals the fixed space of the whole group. Bases are returned in reduced
-echelon normal form over the monomial enumeration order, which makes
-them unique, hence reproducible bit for bit no matter how the kernel
-was obtained internally.
+Invariant subspaces are computed per block of monomials with fixed
+numbers of u- and v-factors, which the action preserves: the signed
+orbit sums under the adjacent transpositions (1 2), ..., (n-1 n) span
+the vectors those fix, and the kernel of (M_cycle - I) on the orbit sums,
+for the (n+1)-cycle, is the fixed space of the whole group. The blocks
+are echelonized together and every basis vector is checked against both
+group generators. Reduced echelon bases are unique, so the output is
+reproducible bit for bit no matter how the kernel was obtained.
 
 >>> s = SpaceDescriptor(n=2, k=2, a=0, b=0)
 >>> len(invariant_basis(s).vectors)
@@ -30,26 +32,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import kernel_of_rows, rref_vectors
-from .symgroup import Permutation, generators, transposition
+from .symgroup import Permutation, full_cycle, generators, transposition
 
 Gen = tuple[str, int]  # ("u" | "v", index in 1..n)
 
 _ONE = Fraction(1)
 
-# Flipped by tests only: reverses the total order on wedge generators to
-# confirm that ranks and dimensions do not depend on the sign convention.
-_REVERSED_GEN_ORDER = False
+
+def _add_into(acc: dict, items, scale=1) -> dict:
+    """Add ``scale * c`` to ``acc[key]`` for each (key, c) of ``items``; drop zeros."""
+    for key, c in items:
+        nv = acc.get(key, 0) + scale * c
+        if nv:
+            acc[key] = nv
+        else:
+            acc.pop(key, None)
+    return acc
 
 
-def _gen_list(n: int) -> list[Gen]:
-    gens = [("u", i) for i in range(1, n + 1)] + [("v", i) for i in range(1, n + 1)]
-    if _REVERSED_GEN_ORDER:
-        gens.reverse()
-    return gens
-
-
-def _sort_wedge(gens: list[Gen]) -> tuple[int, tuple[Gen, ...]] | None:
-    """Sort wedge factors into the fixed total order.
+def _sort_wedge(gens: tuple[Gen, ...] | list[Gen]) -> tuple[int, tuple[Gen, ...]] | None:
+    """Sort wedge factors into the fixed order: u before v, each by index.
 
     Returns (sign, sorted tuple), or None if a factor repeats.
     """
@@ -61,8 +63,7 @@ def _sort_wedge(gens: list[Gen]) -> tuple[int, tuple[Gen, ...]] | None:
             a, b = arr[j - 1], arr[j]
             if a == b:
                 return None
-            swap = (a > b) if not _REVERSED_GEN_ORDER else (a < b)
-            if swap:
+            if a > b:
                 arr[j - 1], arr[j] = b, a
                 sign = -sign
                 j -= 1
@@ -169,14 +170,7 @@ class SparseVector:
     def __add__(self, other: "SparseVector") -> "SparseVector":
         if other.space != self.space:
             raise ValueError("space mismatch")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            nv = terms.get(m, Fraction(0)) + c
-            if nv:
-                terms[m] = nv
-            else:
-                terms.pop(m, None)
-        return SparseVector(self.space, terms)
+        return SparseVector(self.space, _add_into(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
         return self + other.scaled(-1)
@@ -197,16 +191,15 @@ def _monomial_sort_key(m: Monomial):
     return (len(m.wedge), m.wedge, m.duals, m.legs)
 
 
-_MONOMIAL_CACHE: dict[tuple, tuple[Monomial, ...]] = {}
+_MONOMIAL_CACHE: dict[SpaceDescriptor, tuple[Monomial, ...]] = {}
 
 
 def monomials(s: SpaceDescriptor) -> tuple[Monomial, ...]:
     """All basis monomials of W(n; k, a, b) in the fixed enumeration order."""
-    key = (s, _REVERSED_GEN_ORDER)
-    hit = _MONOMIAL_CACHE.get(key)
+    hit = _MONOMIAL_CACHE.get(s)
     if hit is not None:
         return hit
-    gens = _gen_list(s.n)
+    gens = [(letter, i) for letter in "uv" for i in range(1, s.n + 1)]
     leg_range = range(1, s.n + 1)
     out = []
     for wedge in itertools.combinations(gens, s.k):
@@ -214,7 +207,7 @@ def monomials(s: SpaceDescriptor) -> tuple[Monomial, ...]:
             for legs in itertools.product(leg_range, repeat=s.b):
                 out.append(Monomial(tuple(wedge), duals, legs))
     result = tuple(out)
-    _MONOMIAL_CACHE[key] = result
+    _MONOMIAL_CACHE[s] = result
     return result
 
 
@@ -228,44 +221,45 @@ def _expand_index(j: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple((-1, t) for t in range(1, n + 1))
 
 
-def act_monomial(sigma: Permutation, m: Monomial, n: int) -> dict[Monomial, Fraction]:
-    wedge_options = [
-        tuple((c, (letter, t)) for c, t in _expand_index(sigma(idx), n))
-        for letter, idx in m.wedge
-    ]
-    dual_options = [_expand_index(sigma(i), n) for i in m.duals]
-    leg_options = [_expand_index(sigma(i), n) for i in m.legs]
+def _normal_form(wedge, duals, legs, n: int) -> dict[Monomial, Fraction]:
+    """Expansion of a monomial whose indices may be n+1 into stored monomials.
+
+    ``wedge`` holds (letter, index) factors in any order, ``duals`` and
+    ``legs`` hold indices; every index n+1 is eliminated and the wedge
+    factors are sorted with their sign. Repeated factors give nothing.
+    """
+    heads = [(1, ())]
+    for letter, j in wedge:
+        heads = [(s * c, t + ((letter, i),)) for s, t in heads for c, i in _expand_index(j, n)]
+    tails = [(1, ())]
+    for j in (*duals, *legs):
+        tails = [(s * c, t + (i,)) for s, t in tails for c, i in _expand_index(j, n)]
+    a = len(duals)
+    tails = [(s, t[:a], t[a:]) for s, t in tails]
     out: dict[Monomial, Fraction] = {}
-    for wedge_pick in itertools.product(*wedge_options):
-        wsign = 1
-        gens = []
-        for c, g in wedge_pick:
-            wsign *= c
-            gens.append(g)
+    for wsign, gens in heads:
         sorted_w = _sort_wedge(gens)
         if sorted_w is None:
             continue
-        ssign, wedge = sorted_w
+        ssign, w = sorted_w
         base = wsign * ssign
-        for dual_pick in itertools.product(*dual_options):
-            dsign = base
-            duals = []
-            for c, t in dual_pick:
-                dsign *= c
-                duals.append(t)
-            for leg_pick in itertools.product(*leg_options):
-                sign = dsign
-                legs = []
-                for c, t in leg_pick:
-                    sign *= c
-                    legs.append(t)
-                mono = Monomial(wedge, tuple(duals), tuple(legs))
-                nv = out.get(mono, 0) + sign
-                if nv:
-                    out[mono] = Fraction(nv)
-                else:
-                    out.pop(mono, None)
+        for sign, d, l in tails:
+            mono = Monomial(w, d, l)
+            nv = out.get(mono, 0) + base * sign
+            if nv:
+                out[mono] = Fraction(nv)
+            else:
+                del out[mono]
     return out
+
+
+def act_monomial(sigma: Permutation, m: Monomial, n: int) -> dict[Monomial, Fraction]:
+    return _normal_form(
+        [(letter, sigma(i)) for letter, i in m.wedge],
+        [sigma(i) for i in m.duals],
+        [sigma(i) for i in m.legs],
+        n,
+    )
 
 
 def act(sigma: Permutation, x: SparseVector) -> SparseVector:
@@ -275,12 +269,7 @@ def act(sigma: Permutation, x: SparseVector) -> SparseVector:
         raise ValueError(f"permutation degree {sigma.degree} does not match n={n}")
     terms: dict[Monomial, Fraction] = {}
     for m, c in x.terms.items():
-        for mono, d in act_monomial(sigma, m, n).items():
-            nv = terms.get(mono, Fraction(0)) + c * d
-            if nv:
-                terms[mono] = nv
-            else:
-                terms.pop(mono, None)
+        _add_into(terms, act_monomial(sigma, m, n).items(), c)
     return SparseVector(x.space, terms)
 
 
@@ -308,11 +297,11 @@ class InvariantBasis:
         Raises if ``x`` lies outside the span.
         """
         coords = [x.coeff(p) for p in self.pivots]
-        residual = x
+        residual = dict(x.terms)
         for c, vec in zip(coords, self.vectors):
             if c:
-                residual = residual - vec.scaled(c)
-        if not residual.is_zero():
+                _add_into(residual, vec.terms.items(), -c)
+        if residual:
             raise ValueError("vector is not in the invariant subspace")
         return coords
 
@@ -330,11 +319,9 @@ def _kernel_vectors_stacked(
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for g, sigma in enumerate(perms):
         for col, m in enumerate(monos):
-            image = act_monomial(sigma, m, n)
-            image[m] = image.get(m, Fraction(0)) - 1
+            image = _add_into(act_monomial(sigma, m, n), [(m, -_ONE)])
             for target, coeff in image.items():
-                if coeff:
-                    rows.setdefault((g, index_of[target]), {})[col] = coeff
+                rows.setdefault((g, index_of[target]), {})[col] = coeff
     row_list = [rows[key] for key in sorted(rows)]
     return kernel_of_rows(row_list, len(monos))
 
@@ -381,29 +368,17 @@ def _signed_orbit_columns(
 def _invariant_vectors_block(
     monos: tuple[Monomial, ...], n: int
 ) -> list[dict[int, Fraction]]:
-    gens = generators(n)
-    if n < 2 or len(gens) < 2:
-        return _kernel_vectors_stacked(monos, gens, n)
-    cycle = gens[1]
+    cycle = full_cycle(n + 1)
     index_of = {m: i for i, m in enumerate(monos)}
     adjacents = [transposition(n + 1, i, i + 1) for i in range(1, n)]
     fixed = _signed_orbit_columns(monos, adjacents, n)
-    # Columns of (M_cycle - I) restricted to the fixed space of tau.
+    # Columns of (M_cycle - I) restricted to the fixed space of the adjacents.
     rows: dict[int, dict[int, Fraction]] = {}
     for j, combo in enumerate(fixed):
-        accum: dict[int, Fraction] = {}
+        accum = {i: -coeff for i, coeff in combo}
         for i, coeff in combo:
             image = act_monomial(cycle, monos[i], n)
-            image[monos[i]] = image.get(monos[i], Fraction(0)) - 1
-            for target, d in image.items():
-                if not d:
-                    continue
-                t = index_of[target]
-                nv = accum.get(t, Fraction(0)) + coeff * d
-                if nv:
-                    accum[t] = nv
-                else:
-                    accum.pop(t, None)
+            _add_into(accum, ((index_of[m], d) for m, d in image.items()), coeff)
         for t, v in accum.items():
             rows.setdefault(t, {})[j] = v
     row_list = [rows[t] for t in sorted(rows)]
@@ -411,31 +386,27 @@ def _invariant_vectors_block(
     for coords in kernel_of_rows(row_list, len(fixed)):
         vec: dict[int, Fraction] = {}
         for j, cj in coords.items():
-            for i, coeff in fixed[j]:
-                nv = vec.get(i, Fraction(0)) + cj * coeff
-                if nv:
-                    vec[i] = nv
-                else:
-                    vec.pop(i, None)
+            _add_into(vec, fixed[j], cj)
         out.append(vec)
     return out
 
 
-_INVARIANT_CACHE: dict[tuple, InvariantBasis] = {}
+_INVARIANT_CACHE: dict[SpaceDescriptor, InvariantBasis] = {}
 
 
 def invariant_basis(s: SpaceDescriptor) -> InvariantBasis:
-    """Basis of the common fixed space of the two group generators.
+    """Basis of the subspace fixed by the whole group, in reduced echelon form.
 
-    Equal to the fixed space of the whole group, i.e. the kernel of the
-    stacked (M_sigma - I) matrices over the monomial basis. The action
-    preserves the number of u-factors and v-factors of the wedge part,
-    so the kernel is assembled blockwise and then echelonized globally;
-    reduced echelon bases are unique, so the output is identical to the
-    one computed from the full stacked matrix.
+    The action preserves the number of u- and v-factors of the wedge
+    part, so each (p, q) block is solved on its own: the signed orbit
+    sums under the adjacent transpositions span what those fix, and the
+    kernel of (M_cycle - I) on them, for the (n+1)-cycle, is what the
+    whole group fixes. The blocks are echelonized together, which gives
+    the same unique basis as the stacked reference
+    :func:`invariant_basis_stacked`, and every vector is then checked
+    against both group generators.
     """
-    key = (s, _REVERSED_GEN_ORDER)
-    hit = _INVARIANT_CACHE.get(key)
+    hit = _INVARIANT_CACHE.get(s)
     if hit is not None:
         return hit
     monos = monomials(s)
@@ -461,7 +432,7 @@ def invariant_basis(s: SpaceDescriptor) -> InvariantBasis:
         for v in basis.vectors:
             if act(sigma, v) != v:
                 raise RuntimeError(f"computed vector not invariant in {s}")
-    _INVARIANT_CACHE[key] = basis
+    _INVARIANT_CACHE[s] = basis
     return basis
 
 

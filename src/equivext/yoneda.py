@@ -29,7 +29,6 @@ Fraction(3, 1)
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +38,8 @@ from .spaces import (
     Monomial,
     SpaceDescriptor,
     SparseVector,
-    _expand_index,
+    _add_into,
+    _normal_form,
     _sort_wedge,
     act,
     invariant_basis,
@@ -82,39 +82,16 @@ def equivariant_pair(n: int, dual_index: int, index: int) -> Fraction:
     return base - Fraction(1, n + 1)
 
 
-def _orbit_sum(n: int, slots: list[tuple[str, str | None]]) -> dict[Monomial, Fraction]:
-    """Sum over i = 1..n+1 of a monomial pattern with every slot at index i.
+def _orbit_sum(n: int, letters: str, a: int, b: int) -> dict[Monomial, Fraction]:
+    """Sum over i = 1..n+1 of the monomial with every index at i.
 
-    ``slots`` entries are (kind, letter): kind "w" is a wedge factor with
-    the given letter, "d" a dual leg, "e" a plain leg. The i = n+1 term is
-    expanded through the defining relation before being stored.
+    Its wedge part has one factor per letter of ``letters``, in that
+    order, followed by ``a`` dual legs and ``b`` plain legs. The i = n+1
+    term is expanded into the stored normal form.
     """
     out: dict[Monomial, Fraction] = {}
     for i in range(1, n + 2):
-        options = [_expand_index(i, n)] * len(slots)
-        for picks in itertools.product(*options):
-            sign = 1
-            wedge = []
-            duals = []
-            legs = []
-            for (kind, letter), (c, idx) in zip(slots, picks):
-                sign *= c
-                if kind == "w":
-                    wedge.append((letter, idx))
-                elif kind == "d":
-                    duals.append(idx)
-                else:
-                    legs.append(idx)
-            sorted_w = _sort_wedge(wedge)
-            if sorted_w is None:
-                continue
-            ssign, wedge_t = sorted_w
-            mono = Monomial(wedge_t, tuple(duals), tuple(legs))
-            nv = out.get(mono, Fraction(0)) + sign * ssign
-            if nv:
-                out[mono] = nv
-            else:
-                out.pop(mono, None)
+        _add_into(out, _normal_form([(w, i) for w in letters], (i,) * a, (i,) * b, n).items())
     return out
 
 
@@ -135,14 +112,8 @@ def theta_of(n: int, cu, cv) -> SparseVector:
     space = SpaceDescriptor(n, 1, 0, 1)
     terms: dict[Monomial, Fraction] = {}
     for letter, c in (("u", Fraction(cu)), ("v", Fraction(cv))):
-        if not c:
-            continue
-        for mono, coeff in _orbit_sum(n, [("w", letter), ("e", None)]).items():
-            nv = terms.get(mono, Fraction(0)) + c * coeff
-            if nv:
-                terms[mono] = nv
-            else:
-                terms.pop(mono, None)
+        if c:
+            _add_into(terms, _orbit_sum(n, letter, 0, 1).items(), c)
     return SparseVector(space, terms)
 
 
@@ -167,17 +138,17 @@ def build_class(name: str, n: int, swap_uv: bool = False) -> DistinguishedClass:
     if name.startswith("theta"):
         w = letters[name[6]]
         space = SpaceDescriptor(n, 1, 0, 1)
-        terms = _orbit_sum(n, [("w", w), ("e", None)])
+        terms = _orbit_sum(n, w, 0, 1)
     elif name == "omega":
         space = SpaceDescriptor(n, 2, 0, 0)
-        terms = _orbit_sum(n, [("w", letters["u"]), ("w", letters["v"])])
+        terms = _orbit_sum(n, letters["u"] + letters["v"], 0, 0)
     elif name.startswith("phi"):
         w = letters[name[4]]
         space = SpaceDescriptor(n, 1, 1, 0)
-        terms = _orbit_sum(n, [("w", w), ("d", None)])
+        terms = _orbit_sum(n, w, 1, 0)
     else:  # xi
         space = SpaceDescriptor(n, 1, 1, 1)
-        terms = _orbit_sum(n, [("w", letters["u"]), ("d", None), ("e", None)])
+        terms = _orbit_sum(n, letters["u"], 1, 1)
     value = SparseVector(space, terms)
     for sigma in generators(n):
         if act(sigma, value) != value:
@@ -210,6 +181,7 @@ def compose(x: SparseVector, y: SparseVector, pairing: str = "equivariant") -> S
     sign0 = -_ONE if sx.a % 2 else _ONE
     terms: dict[Monomial, Fraction] = {}
     for mx, cx in x.terms.items():
+        products = []
         for my, cy in y.terms.items():
             contraction = _ONE
             for dual, leg in zip(mx.duals, my.legs):
@@ -222,12 +194,8 @@ def compose(x: SparseVector, y: SparseVector, pairing: str = "equivariant") -> S
             if sorted_w is None:
                 continue
             ssign, wedge = sorted_w
-            mono = Monomial(wedge, my.duals, mx.legs)
-            nv = terms.get(mono, Fraction(0)) + sign0 * ssign * contraction * cx * cy
-            if nv:
-                terms[mono] = nv
-            else:
-                terms.pop(mono, None)
+            products.append((Monomial(wedge, my.duals, mx.legs), ssign * contraction * cy))
+        _add_into(terms, products, sign0 * cx)
     return SparseVector(target, terms)
 
 

@@ -10,6 +10,7 @@ from equivext.linalg import (
     nullspace_basis,
     rank,
     rank_of_rows,
+    rref_vectors,
 )
 
 small_ints = st.integers(min_value=-4, max_value=4)
@@ -70,6 +71,20 @@ def test_floats_are_rejected():
         as_rational(0.5)
     with pytest.raises(TypeError):
         SparseMatrix.from_entries(1, 1, {(0, 0): 1.5})
+    with pytest.raises(TypeError):
+        SparseMatrix(1, 1, {(0, 0): 0.5})
+
+
+def test_int_input_gives_fraction_output():
+    # 1.0 == 1, so only a type check catches a float leaking out
+    outputs = (
+        nullspace_basis(SparseMatrix(1, 2, {(0, 0): 2, (0, 1): 1}))
+        + rref_vectors([{0: 2, 1: 1}], 2)
+        + rref_vectors([{0: 1, 1: -1}, {0: 1, 2: 1}], 3)
+        + kernel_of_rows([{0: 1, 1: 3}], 2)
+    )
+    assert outputs
+    assert all(type(v) is Fraction for vec in outputs for v in vec.values())
 
 
 def test_out_of_bounds_entry_rejected():
