@@ -6,7 +6,9 @@ Subcommands:
   tables against raw invariant dimensions and the character oracle, run
   the coefficient and rank batteries, replay the full dimension chase,
   and emit a PASS/FAIL report (text, csv, or json). Exit code 0 on PASS,
-  1 on FAIL, 2 on usage or internal error. Warnings about known
+  1 on FAIL, 2 on usage or internal error; an internal error names the
+  n and the stage (tables, oracle, coefficients, ranks, theorem or
+  bases) where it happened. Warnings about known
   discrepancies in the published reference tables are attached to the
   report but never affect the verdict.
 * ``table``: one closed-form family next to its raw recomputation.
@@ -26,6 +28,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 from . import characters, dimformulas
@@ -152,10 +155,8 @@ def _battery_descriptors(n: int) -> list[SpaceDescriptor]:
     ]
 
 
-def _verify_one(args: tuple[int, bool, bool, bool]) -> dict:
-    n, check_remark, swap_uv, print_bases = args
-    result: dict = {"n": n}
-
+def _table_results(n: int) -> tuple[dict[str, dict], bool]:
+    """Closed-form tables next to raw dimensions, and the palindrome check."""
     tables: dict[str, dict] = {}
     raw: dict[str, list[int]] = {}
     for family in TABLE_ORDER:
@@ -173,31 +174,29 @@ def _verify_one(args: tuple[int, bool, bool, bool]) -> dict:
         "raw": d_raw,
         "match": list(d_formula.dims) == d_raw,
     }
-    result["tables"] = tables
-    result["palindromes"] = all(
-        dimformulas.formula_table(f, n).is_palindrome() for f in TABLE_ORDER
-    )
+    palindromes = all(dimformulas.formula_table(f, n).is_palindrome() for f in TABLE_ORDER)
+    return tables, palindromes
 
+
+def _oracle_results(n: int) -> dict:
+    """Character-oracle dimensions against raw ones on every table and battery space."""
     seen: set[SpaceDescriptor] = set()
-    oracle_match = True
-    count = 0
     for family in TABLE_ORDER:
         a, b = dimformulas.TABLE_FAMILIES[family]
         for k in range(2 * n + 1):
             seen.add(SpaceDescriptor(n, k, a, b))
     seen.update(_battery_descriptors(n))
-    for s in sorted(seen, key=lambda s: (s.k, s.a, s.b)):
-        count += 1
-        if characters.invariant_dim(s) != invariant_basis(s).dim:
-            oracle_match = False
-    result["oracle"] = {"descriptors": count, "all_match": oracle_match}
+    matches = [
+        characters.invariant_dim(s) == invariant_basis(s).dim
+        for s in sorted(seen, key=lambda s: (s.k, s.a, s.b))
+    ]
+    return {"descriptors": len(matches), "all_match": all(matches)}
 
-    result["coefficients"] = _coefficient_checks(n)
-    result["ranks"] = _rank_checks(n, swap_uv, check_remark)
 
+def _theorem_result(n: int, check_remark: bool, swap_uv: bool) -> dict:
     try:
         theorem = verify_theorem(n, check_remark=check_remark, swap_uv=swap_uv)
-        result["theorem"] = {
+        return {
             "ext1_MM": theorem.ext1_MM,
             "hom_MM": theorem.hom_MM,
             "h_M": list(theorem.h_M),
@@ -205,7 +204,7 @@ def _verify_one(args: tuple[int, bool, bool, bool]) -> dict:
             "status": "PASS" if theorem.passed else "FAIL",
         }
     except TheoremFailure as failure:
-        result["theorem"] = {
+        return {
             "ext1_MM": None,
             "hom_MM": None,
             "h_M": [],
@@ -213,21 +212,48 @@ def _verify_one(args: tuple[int, bool, bool, bool]) -> dict:
             "status": "FAIL",
         }
 
+
+def _bases(n: int) -> dict[str, list[str]]:
+    bases: dict[str, list[str]] = {}
+    for family in TABLE_ORDER:
+        a, b = dimformulas.TABLE_FAMILIES[family]
+        for k in range(2 * n + 1):
+            basis = invariant_basis(SpaceDescriptor(n, k, a, b))
+            if basis.dim:
+                bases[f"{family}[{k}]"] = [v.render() for v in basis.vectors]
+    return bases
+
+
+@contextmanager
+def _stage(n: int, name: str):
+    """Re-raise a failure inside the block as an internal error naming n and the stage."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(f"n={n}, stage {name}: {exc!r}") from exc
+
+
+def _verify_one(args: tuple[int, bool, bool, bool]) -> dict:
+    n, check_remark, swap_uv, print_bases = args
+    result: dict = {"n": n}
+    with _stage(n, "tables"):
+        result["tables"], result["palindromes"] = _table_results(n)
+    with _stage(n, "oracle"):
+        result["oracle"] = _oracle_results(n)
+    with _stage(n, "coefficients"):
+        result["coefficients"] = _coefficient_checks(n)
+    with _stage(n, "ranks"):
+        result["ranks"] = _rank_checks(n, swap_uv, check_remark)
+    with _stage(n, "theorem"):
+        result["theorem"] = _theorem_result(n, check_remark, swap_uv)
     if print_bases:
-        bases: dict[str, list[str]] = {}
-        for family in TABLE_ORDER:
-            a, b = dimformulas.TABLE_FAMILIES[family]
-            for k in range(2 * n + 1):
-                basis = invariant_basis(SpaceDescriptor(n, k, a, b))
-                if basis.dim:
-                    key = f"{family}[{k}]"
-                    bases[key] = [v.render() for v in basis.vectors]
-        result["bases"] = bases
+        with _stage(n, "bases"):
+            result["bases"] = _bases(n)
 
     ok = (
-        all(t["match"] for t in tables.values())
+        all(t["match"] for t in result["tables"].values())
         and result["palindromes"]
-        and oracle_match
+        and result["oracle"]["all_match"]
         and all(c["status"] == "PASS" for c in result["coefficients"])
         and all(c["status"] == "PASS" for c in result["ranks"])
         and result["theorem"]["status"] == "PASS"

@@ -10,14 +10,19 @@ only ever mention indices 1..n. The wedge factors are kept strictly
 increasing in the total order "all u-generators before all v-generators,
 each block by index", which fixes every sign once and for all.
 
+Coefficients produced by the action are integers; they become
+``Fraction``s only in elimination and in the vectors handed out.
 Invariant subspaces are computed per block of monomials with fixed
-numbers of u- and v-factors, which the action preserves: the signed
-orbit sums under the adjacent transpositions (1 2), ..., (n-1 n) span
-the vectors those fix, and the kernel of (M_cycle - I) on the orbit sums,
-for the (n+1)-cycle, is the fixed space of the whole group. The blocks
-are echelonized together and every basis vector is checked against both
-group generators. Reduced echelon bases are unique, so the output is
-reproducible bit for bit no matter how the kernel was obtained.
+numbers of u- and v-factors, which the action preserves. For each block
+the images of its monomials under the (n+1)-cycle and under the adjacent
+transpositions (1 2), ..., (n-1 n) are tabulated once, as integer rows
+over positions in the block, and dropped with the block. The signed
+orbit sums under the adjacent transpositions span the vectors those fix,
+and the kernel of (M_cycle - I) on the orbit sums is the fixed space of
+the whole group. Each block's reduced echelon basis is checked on the
+tables in integer arithmetic against both group generators. Reduced
+echelon bases are unique, so the output is reproducible bit for bit no
+matter how the kernel was obtained.
 
 >>> s = SpaceDescriptor(n=2, k=2, a=0, b=0)
 >>> len(invariant_basis(s).vectors)
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -221,12 +227,13 @@ def _expand_index(j: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple((-1, t) for t in range(1, n + 1))
 
 
-def _normal_form(wedge, duals, legs, n: int) -> dict[Monomial, Fraction]:
+def _normal_form(wedge, duals, legs, n: int) -> dict[Monomial, int]:
     """Expansion of a monomial whose indices may be n+1 into stored monomials.
 
     ``wedge`` holds (letter, index) factors in any order, ``duals`` and
     ``legs`` hold indices; every index n+1 is eliminated and the wedge
     factors are sorted with their sign. Repeated factors give nothing.
+    Every coefficient is an ``int``.
     """
     heads = [(1, ())]
     for letter, j in wedge:
@@ -236,7 +243,7 @@ def _normal_form(wedge, duals, legs, n: int) -> dict[Monomial, Fraction]:
         tails = [(s * c, t + (i,)) for s, t in tails for c, i in _expand_index(j, n)]
     a = len(duals)
     tails = [(s, t[:a], t[a:]) for s, t in tails]
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int] = {}
     for wsign, gens in heads:
         sorted_w = _sort_wedge(gens)
         if sorted_w is None:
@@ -247,13 +254,13 @@ def _normal_form(wedge, duals, legs, n: int) -> dict[Monomial, Fraction]:
             mono = Monomial(w, d, l)
             nv = out.get(mono, 0) + base * sign
             if nv:
-                out[mono] = Fraction(nv)
+                out[mono] = nv
             else:
                 del out[mono]
     return out
 
 
-def act_monomial(sigma: Permutation, m: Monomial, n: int) -> dict[Monomial, Fraction]:
+def act_monomial(sigma: Permutation, m: Monomial, n: int) -> dict[Monomial, int]:
     return _normal_form(
         [(letter, sigma(i)) for letter, i in m.wedge],
         [sigma(i) for i in m.duals],
@@ -326,32 +333,61 @@ def _kernel_vectors_stacked(
     return kernel_of_rows(row_list, len(monos))
 
 
-def _signed_orbit_columns(
-    monos: tuple[Monomial, ...], perms: list[Permutation], n: int
-) -> list[list[tuple[int, Fraction]]]:
+class _ActionTable:
+    """Images of the monomials of one block under one permutation, in ints.
+
+    Row i holds the (j, c) with sigma(block[i]) = sum of c * block[j]; the
+    rows are stored back to back (compressed sparse rows), so a table
+    costs a few machine words per image term.
+    """
+
+    __slots__ = ("starts", "cols", "coeffs")
+
+    def __init__(
+        self, block: tuple[Monomial, ...], index_of: dict[Monomial, int], sigma: Permutation, n: int
+    ):
+        starts, cols, coeffs = array("q", [0]), array("q"), array("q")
+        for m in block:
+            for target, c in act_monomial(sigma, m, n).items():
+                cols.append(index_of[target])
+                coeffs.append(c)
+            starts.append(len(cols))
+        self.starts, self.cols, self.coeffs = starts, cols, coeffs
+
+    def row(self, i: int):
+        lo, hi = self.starts[i], self.starts[i + 1]
+        return zip(self.cols[lo:hi], self.coeffs[lo:hi])
+
+    def fixes(self, vec: dict[int, Fraction]) -> bool:
+        """Whether the permutation maps ``vec`` to itself, checked in ints."""
+        scale = math.lcm(*(c.denominator for c in vec.values()))
+        ints = {i: c.numerator * (scale // c.denominator) for i, c in vec.items()}
+        image: dict[int, int] = {}
+        for i, c in ints.items():
+            _add_into(image, self.row(i), c)
+        return image == ints
+
+
+def _signed_orbit_columns(tables: list[_ActionTable], size: int) -> list[list[tuple[int, int]]]:
     """Explicit basis of the common fixed space of signed permutations.
 
-    Every permutation in ``perms`` must send each monomial to a signed
-    single monomial (true for transpositions not touching index n, since
-    no index ever lands on n+1). The fixed space is then spanned by the
-    consistent signed orbit sums; an orbit with a sign conflict
-    contributes nothing.
+    Every table must send each monomial to a signed single monomial (true
+    for transpositions not touching index n+1, since no index ever lands
+    on n+1). The fixed space is then spanned by the consistent signed
+    orbit sums; an orbit with a sign conflict contributes nothing.
     """
-    index_of = {m: i for i, m in enumerate(monos)}
-    sign_of: dict[int, Fraction] = {}
-    basis: list[list[tuple[int, Fraction]]] = []
-    for start, m in enumerate(monos):
-        if start in sign_of:
+    seen = bytearray(size)
+    basis: list[list[tuple[int, int]]] = []
+    for start in range(size):
+        if seen[start]:
             continue
-        orbit = {start: _ONE}
+        orbit = {start: 1}
         queue = [start]
         consistent = True
         while queue:
             i = queue.pop()
-            for sigma in perms:
-                image = act_monomial(sigma, monos[i], n)
-                ((m2, s),) = image.items()
-                j = index_of[m2]
+            for table in tables:
+                ((j, s),) = table.row(i)
                 value = orbit[i] * s
                 if j in orbit:
                     if orbit[j] != value:
@@ -359,36 +395,48 @@ def _signed_orbit_columns(
                 else:
                     orbit[j] = value
                     queue.append(j)
-        sign_of.update(orbit)
+        for i in orbit:
+            seen[i] = 1
         if consistent:
             basis.append(sorted(orbit.items()))
     return basis
 
 
 def _invariant_vectors_block(
-    monos: tuple[Monomial, ...], n: int
+    block: tuple[Monomial, ...], s: SpaceDescriptor
 ) -> list[dict[int, Fraction]]:
+    """Reduced echelon basis of the invariants supported on one block.
+
+    Indices are positions in ``block``. The action tables live only for
+    this call; every returned vector has been checked against them.
+    """
+    n = s.n
+    index_of = {m: i for i, m in enumerate(block)}
     cycle = full_cycle(n + 1)
-    index_of = {m: i for i, m in enumerate(monos)}
     adjacents = [transposition(n + 1, i, i + 1) for i in range(1, n)]
-    fixed = _signed_orbit_columns(monos, adjacents, n)
+    tables = {sigma: _ActionTable(block, index_of, sigma, n) for sigma in (cycle, *adjacents)}
+    fixed = _signed_orbit_columns([tables[sigma] for sigma in adjacents], len(block))
     # Columns of (M_cycle - I) restricted to the fixed space of the adjacents.
-    rows: dict[int, dict[int, Fraction]] = {}
+    rows: dict[int, dict[int, int]] = {}
     for j, combo in enumerate(fixed):
-        accum = {i: -coeff for i, coeff in combo}
-        for i, coeff in combo:
-            image = act_monomial(cycle, monos[i], n)
-            _add_into(accum, ((index_of[m], d) for m, d in image.items()), coeff)
+        accum = {i: -sign for i, sign in combo}
+        for i, sign in combo:
+            _add_into(accum, tables[cycle].row(i), sign)
         for t, v in accum.items():
             rows.setdefault(t, {})[j] = v
     row_list = [rows[t] for t in sorted(rows)]
-    out = []
+    combos = []
     for coords in kernel_of_rows(row_list, len(fixed)):
         vec: dict[int, Fraction] = {}
         for j, cj in coords.items():
             _add_into(vec, fixed[j], cj)
-        out.append(vec)
-    return out
+        combos.append(vec)
+    vectors = rref_vectors(combos, len(block))
+    # generators(n) is (1 2) and the cycle; at n = 1 the cycle is (1 2).
+    for sigma in generators(n):
+        if not all(tables[sigma].fixes(vec) for vec in vectors):
+            raise RuntimeError(f"computed vector not invariant in {s}")
+    return vectors
 
 
 _INVARIANT_CACHE: dict[SpaceDescriptor, InvariantBasis] = {}
@@ -398,40 +446,33 @@ def invariant_basis(s: SpaceDescriptor) -> InvariantBasis:
     """Basis of the subspace fixed by the whole group, in reduced echelon form.
 
     The action preserves the number of u- and v-factors of the wedge
-    part, so each (p, q) block is solved on its own: the signed orbit
-    sums under the adjacent transpositions span what those fix, and the
-    kernel of (M_cycle - I) on them, for the (n+1)-cycle, is what the
-    whole group fixes. The blocks are echelonized together, which gives
-    the same unique basis as the stacked reference
-    :func:`invariant_basis_stacked`, and every vector is then checked
-    against both group generators.
+    part, so each (p, q) block is solved on its own. The block's action
+    under the (n+1)-cycle and each adjacent transposition (i i+1) is
+    tabulated once, in integers over monomial positions. The signed
+    orbit sums under the adjacent transpositions span what those fix,
+    and the kernel of (M_cycle - I) on them is what the whole group
+    fixes. Its reduced echelon basis is checked in integer arithmetic:
+    each vector, scaled to integer coefficients, must be mapped to
+    itself by both group generators. The blocks have disjoint supports,
+    so their bases, ordered by leading monomial, form the same unique
+    basis as the stacked reference :func:`invariant_basis_stacked`.
     """
     hit = _INVARIANT_CACHE.get(s)
     if hit is not None:
         return hit
     monos = monomials(s)
-    index_of = {m: i for i, m in enumerate(monos)}
-    blocks: dict[tuple[int, int], list[Monomial]] = {}
-    for m in monos:
-        blocks.setdefault(_wedge_letter_counts(m), []).append(m)
-    raw_vectors: list[dict[int, Fraction]] = []
-    for pq in sorted(blocks):
-        block = tuple(blocks[pq])
-        local = _invariant_vectors_block(block, s.n)
-        for vec in local:
-            raw_vectors.append({index_of[block[i]]: c for i, c in vec.items()})
-    canonical = rref_vectors(raw_vectors, len(monos))
-    vectors = []
-    pivots = []
-    for vec in canonical:
-        terms = {monos[i]: c for i, c in vec.items()}
-        vectors.append(SparseVector(s, terms))
-        pivots.append(monos[min(vec)])
-    basis = InvariantBasis(s, tuple(vectors), tuple(pivots))
-    for sigma in generators(s.n):
-        for v in basis.vectors:
-            if act(sigma, v) != v:
-                raise RuntimeError(f"computed vector not invariant in {s}")
+    blocks: dict[tuple[int, int], list[int]] = {}
+    for g, m in enumerate(monos):
+        blocks.setdefault(_wedge_letter_counts(m), []).append(g)
+    found: list[tuple[int, dict[Monomial, Fraction]]] = []
+    for positions in blocks.values():
+        block = tuple(monos[g] for g in positions)
+        for vec in _invariant_vectors_block(block, s):
+            found.append((positions[min(vec)], {block[i]: c for i, c in vec.items()}))
+    found.sort(key=lambda item: item[0])
+    vectors = tuple(SparseVector(s, terms) for _, terms in found)
+    pivots = tuple(monos[g] for g, _ in found)
+    basis = InvariantBasis(s, vectors, pivots)
     _INVARIANT_CACHE[s] = basis
     return basis
 

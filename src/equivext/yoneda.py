@@ -87,12 +87,13 @@ def _orbit_sum(n: int, letters: str, a: int, b: int) -> dict[Monomial, Fraction]
 
     Its wedge part has one factor per letter of ``letters``, in that
     order, followed by ``a`` dual legs and ``b`` plain legs. The i = n+1
-    term is expanded into the stored normal form.
+    term is expanded into the stored normal form. The normal form
+    counts in ``int``; the sum is returned with ``Fraction`` coefficients.
     """
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int] = {}
     for i in range(1, n + 2):
         _add_into(out, _normal_form([(w, i) for w in letters], (i,) * a, (i,) * b, n).items())
-    return out
+    return {m: Fraction(c) for m, c in out.items()}
 
 
 @dataclass(frozen=True)

@@ -194,3 +194,28 @@ def test_cmd_invariants_json(capsys):
     assert payload["dim"] == 1
     assert payload["space_dim"] == 6
     assert payload["untested_legs"] is False
+
+
+@pytest.mark.parametrize(
+    "stage, target",
+    [
+        ("tables", "_table_results"),
+        ("oracle", "_oracle_results"),
+        ("coefficients", "_coefficient_checks"),
+        ("ranks", "_rank_checks"),
+        ("theorem", "_theorem_result"),
+        ("bases", "_bases"),
+    ],
+)
+def test_worker_failure_names_n_and_stage(monkeypatch, capsys, stage, target):
+    import equivext.cli as cli_mod
+
+    def boom(*args):
+        raise ValueError("injected failure")
+
+    monkeypatch.setattr(cli_mod, target, boom)
+    code = main(["verify", "--n-min", "2", "--n-max", "2", "--print-bases"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("internal error: n=2, stage " + stage + ":")
+    assert "injected failure" in err

@@ -1,13 +1,17 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import equivext.spaces as spaces_mod
 from equivext.spaces import (
     Monomial,
     SpaceDescriptor,
     SparseVector,
     act,
+    act_monomial,
+    clear_caches,
     invariant_basis,
     invariant_basis_stacked,
     monomials,
@@ -149,6 +153,7 @@ def test_generator_fixed_space_equals_full_group_fixed_space(s):
         SpaceDescriptor(3, 3, 1, 1),
         SpaceDescriptor(4, 2, 1, 1),
         SpaceDescriptor(2, 2, 2, 1),
+        SpaceDescriptor(3, 2, 2, 2),
     ],
 )
 def test_blockwise_path_matches_stacked_reference(s):
@@ -159,3 +164,58 @@ def test_coordinates_reject_outside_vectors():
     basis = invariant_basis(SpaceDescriptor(2, 2, 0, 0))
     with pytest.raises(ValueError):
         basis.coordinates(vec(2, 2, 0, 0, {"u1^v1": 1}))
+
+
+@st.composite
+def block_monomials_and_perm(draw):
+    n = draw(st.integers(1, 3))
+    s = SpaceDescriptor(n, draw(st.integers(0, 2 * n)), draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    m = draw(st.sampled_from(monomials(s)))
+    sigma = Permutation(tuple(draw(st.permutations(list(range(1, n + 2))))))
+    return s, m, sigma
+
+
+@given(block_monomials_and_perm())
+def test_action_table_rows_match_act_monomial(data):
+    s, m, sigma = data
+    pq = spaces_mod._wedge_letter_counts(m)
+    block = tuple(x for x in monomials(s) if spaces_mod._wedge_letter_counts(x) == pq)
+    index_of = {x: i for i, x in enumerate(block)}
+    table = spaces_mod._ActionTable(block, index_of, sigma, s.n)
+    row = list(table.row(index_of[m]))
+    expected = {index_of[target]: c for target, c in act_monomial(sigma, m, s.n).items()}
+    assert len(row) == len(expected) and dict(row) == expected
+    assert all(type(j) is int and type(c) is int for j, c in row)
+
+
+def test_invariance_self_check_fires(monkeypatch):
+    real = spaces_mod.kernel_of_rows
+
+    def perturbed(rows, ncols):
+        rows = list(rows)
+        kernel = real(rows, ncols)
+        if kernel and rows:
+            # e_j for a column j some row touches is not in the kernel, so
+            # kernel[0] + e_j is a nonzero vector outside it.
+            vec = dict(kernel[0])
+            j = min(rows[0])
+            vec[j] = vec.get(j, 0) + 1
+            kernel[0] = {c: v for c, v in vec.items() if v}
+        return kernel
+
+    clear_caches()
+    monkeypatch.setattr(spaces_mod, "kernel_of_rows", perturbed)
+    s = SpaceDescriptor(3, 1, 0, 1)
+    with pytest.raises(RuntimeError, match=re.escape(str(s))):
+        invariant_basis(s)
+
+
+def test_invariance_self_check_covers_the_transposition(monkeypatch):
+    # Without the orbit sums the kernel is only fixed by the cycle; (1 2) must reject it.
+    clear_caches()
+    monkeypatch.setattr(
+        spaces_mod, "_signed_orbit_columns", lambda tables, size: [[(i, 1)] for i in range(size)]
+    )
+    s = SpaceDescriptor(3, 1, 0, 1)
+    with pytest.raises(RuntimeError, match=re.escape(str(s))):
+        invariant_basis(s)

@@ -15,6 +15,7 @@ from equivext.spaces import (
 )
 from equivext.symgroup import Permutation, generators
 from equivext.yoneda import (
+    CLASS_NAMES,
     DistinguishedClass,
     PairingTable,
     build_class,
@@ -285,3 +286,22 @@ def test_map_matrix_shape_matches_bases():
     m = map_on_invariants(build_class("theta(v)", 2), "push", SpaceDescriptor(2, 1, 1, 0))
     assert m.matrix.rows == m.target.dim
     assert m.matrix.cols == m.source.dim
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_returned_coefficients_are_fractions(n):
+    # The monomial layer counts in ints; every vector handed out is exact rational.
+    classes = [build_class(name, n) for name in CLASS_NAMES]
+    theta, omega, xi = (c.value for c in classes if c.name in ("theta(v)", "omega", "xi"))
+    bases = [
+        invariant_basis(SpaceDescriptor(n, k, a, b))
+        for k, a, b in ((0, 0, 0), (2, 0, 0), (1, 0, 1), (1, 1, 1), (2, 1, 1))
+    ]
+    vectors = [c.value for c in classes] + [v for basis in bases for v in basis.vectors]
+    vectors += [act(sigma, x) for sigma in generators(n) for x in vectors]
+    vectors += [compose(theta, omega), compose(xi, theta, pairing="table")]
+    vectors += [compose(theta, v) for v in bases[1].vectors]
+    vectors += [compose(v, theta) for v in bases[3].vectors]
+    for x in vectors:
+        assert all(type(c) is Fraction for c in x.terms.values()), x.render()
+
