@@ -16,7 +16,10 @@ Invariant subspaces are computed per block of monomials with fixed
 numbers of u- and v-factors, which the action preserves. For each block
 the images of its monomials under the (n+1)-cycle and under the adjacent
 transpositions (1 2), ..., (n-1 n) are tabulated once, as integer rows
-over positions in the block, and dropped with the block. The signed
+over positions in the block, and dropped with the block. A permutation
+acts on the wedge part and on each leg separately, so each table is the
+Kronecker product of a table over the block's wedges and the n x n index
+table j -> sigma(j) taken over every leg slot. The signed
 orbit sums under the adjacent transpositions span the vectors those fix,
 and the kernel of (M_cycle - I) on the orbit sums is the fixed space of
 the whole group. Each block's reduced echelon basis is checked on the
@@ -321,7 +324,10 @@ def _wedge_letter_counts(m: Monomial) -> tuple[int, int]:
 def _kernel_vectors_stacked(
     monos: tuple[Monomial, ...], perms, n: int
 ) -> list[dict[int, Fraction]]:
-    """Common kernel of the stacked (M_sigma - I) over the given monomials."""
+    """Common kernel of the stacked (M_sigma - I) over the given monomials.
+
+    Built from :func:`act_monomial` per monomial, not from the action tables.
+    """
     index_of = {m: i for i, m in enumerate(monos)}
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for g, sigma in enumerate(perms):
@@ -339,19 +345,61 @@ class _ActionTable:
     Row i holds the (j, c) with sigma(block[i]) = sum of c * block[j]; the
     rows are stored back to back (compressed sparse rows), so a table
     costs a few machine words per image term.
+
+    The permutation acts on the wedge part and on each leg on its own, so
+    the table is a Kronecker product. ``block`` must be one (p, q) block
+    of :func:`monomials` in its order: wedge-major, each wedge followed by
+    its L = n^(a+b) leg tuples in ``itertools.product`` order, so position
+    w * L + l is the w-th wedge with the l-th leg tuple. The table is built
+    from the normal forms of the block's wedges and from the images
+    sigma(j) of the indices j = 1..n (index n+1 expanded), multiplied out
+    over the a + b leg slots.
+
+    >>> block = monomials(SpaceDescriptor(n=2, k=1, a=0, b=1))[:4]
+    >>> [m.render() for m in block]
+    ['u1|e1', 'u1|e2', 'u2|e1', 'u2|e2']
+    >>> swap = _ActionTable(block, transposition(3, 1, 2), 2)
+    >>> [list(swap.row(i)) for i in range(4)]
+    [[(3, 1)], [(2, 1)], [(1, 1)], [(0, 1)]]
+    >>> cycle = _ActionTable(block, full_cycle(3), 2)
+    >>> list(cycle.row(0)), sorted(cycle.row(1))  # u1|e2 -> u2|e3 = -u2|e1 - u2|e2
+    ([(3, 1)], [(2, -1), (3, -1)])
     """
 
     __slots__ = ("starts", "cols", "coeffs")
 
-    def __init__(
-        self, block: tuple[Monomial, ...], index_of: dict[Monomial, int], sigma: Permutation, n: int
-    ):
+    def __init__(self, block: tuple[Monomial, ...], sigma: Permutation, n: int):
+        slots = len(block[0].duals) + len(block[0].legs)
+        per_wedge = n**slots
+        wedges = [m.wedge for m in block[::per_wedge]]
+        wedge_index = {w: i for i, w in enumerate(wedges)}
+        wedge_rows = [
+            [
+                (wedge_index[t.wedge] * per_wedge, c)
+                for t, c in _normal_form([(letter, sigma(i)) for letter, i in w], (), (), n).items()
+            ]
+            for w in wedges
+        ]
+        index_rows = [_expand_index(sigma(j), n) for j in range(1, n + 1)]
+        # One (positions, coefficients) row per leg tuple, first slot most significant.
+        leg_rows = [([0], [1])]
+        for _ in range(slots):
+            leg_rows = [
+                (
+                    [l * n + i - 1 for l in ls for _, i in expansion],
+                    [c * ci for c in cs for ci, _ in expansion],
+                )
+                for ls, cs in leg_rows
+                for expansion in index_rows
+            ]
+        # Distinct (wedge, leg tuple) targets, so the products need no accumulation.
         starts, cols, coeffs = array("q", [0]), array("q"), array("q")
-        for m in block:
-            for target, c in act_monomial(sigma, m, n).items():
-                cols.append(index_of[target])
-                coeffs.append(c)
-            starts.append(len(cols))
+        for wedge_row in wedge_rows:
+            for ls, cs in leg_rows:
+                for base, cw in wedge_row:
+                    cols.extend([base + l for l in ls])
+                    coeffs.extend([cw * c for c in cs])
+                starts.append(len(cols))
         self.starts, self.cols, self.coeffs = starts, cols, coeffs
 
     def row(self, i: int):
@@ -411,10 +459,9 @@ def _invariant_vectors_block(
     this call; every returned vector has been checked against them.
     """
     n = s.n
-    index_of = {m: i for i, m in enumerate(block)}
     cycle = full_cycle(n + 1)
     adjacents = [transposition(n + 1, i, i + 1) for i in range(1, n)]
-    tables = {sigma: _ActionTable(block, index_of, sigma, n) for sigma in (cycle, *adjacents)}
+    tables = {sigma: _ActionTable(block, sigma, n) for sigma in (cycle, *adjacents)}
     fixed = _signed_orbit_columns([tables[sigma] for sigma in adjacents], len(block))
     # Columns of (M_cycle - I) restricted to the fixed space of the adjacents.
     rows: dict[int, dict[int, int]] = {}
@@ -448,7 +495,9 @@ def invariant_basis(s: SpaceDescriptor) -> InvariantBasis:
     The action preserves the number of u- and v-factors of the wedge
     part, so each (p, q) block is solved on its own. The block's action
     under the (n+1)-cycle and each adjacent transposition (i i+1) is
-    tabulated once, in integers over monomial positions. The signed
+    tabulated once, in integers over monomial positions, as the Kronecker
+    product of the action on the block's wedges and on the leg indices
+    (:class:`_ActionTable`). The signed
     orbit sums under the adjacent transpositions span what those fix,
     and the kernel of (M_cycle - I) on them is what the whole group
     fixes. Its reduced echelon basis is checked in integer arithmetic:
@@ -480,6 +529,9 @@ def invariant_basis(s: SpaceDescriptor) -> InvariantBasis:
 def invariant_basis_stacked(s: SpaceDescriptor, perms=None) -> InvariantBasis:
     """Reference computation from the full stacked matrix.
 
+    Each column is built with :func:`act_monomial`, one monomial at a
+    time, so this reference shares neither the Kronecker action tables
+    nor the blocks of :func:`invariant_basis` that tests compare it with.
     ``perms`` defaults to the two generators; passing all group elements
     gives the brute-force fixed space used as a cross-check for small n.
     """

@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from equivext.spaces import (
     space_dim,
     unit_vector,
 )
-from equivext.symgroup import Permutation, all_elements
+from equivext.symgroup import Permutation, all_elements, full_cycle, transposition
 
 
 def vec(n, k, a, b, text_terms):
@@ -168,7 +169,7 @@ def test_coordinates_reject_outside_vectors():
 
 @st.composite
 def block_monomials_and_perm(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
     s = SpaceDescriptor(n, draw(st.integers(0, 2 * n)), draw(st.integers(0, 2)), draw(st.integers(0, 2)))
     m = draw(st.sampled_from(monomials(s)))
     sigma = Permutation(tuple(draw(st.permutations(list(range(1, n + 2))))))
@@ -181,11 +182,52 @@ def test_action_table_rows_match_act_monomial(data):
     pq = spaces_mod._wedge_letter_counts(m)
     block = tuple(x for x in monomials(s) if spaces_mod._wedge_letter_counts(x) == pq)
     index_of = {x: i for i, x in enumerate(block)}
-    table = spaces_mod._ActionTable(block, index_of, sigma, s.n)
+    table = spaces_mod._ActionTable(block, sigma, s.n)
     row = list(table.row(index_of[m]))
     expected = {index_of[target]: c for target, c in act_monomial(sigma, m, s.n).items()}
     assert len(row) == len(expected) and dict(row) == expected
     assert all(type(j) is int and type(c) is int for j, c in row)
+
+
+# n = 1, the empty wedge, the full wedge, no legs, three legs, and n = 5.
+TABLE_SHAPES = [(1, 1, 1, 1), (2, 0, 1, 1), (3, 6, 0, 0), (4, 2, 2, 1), (3, 3, 2, 2), (5, 5, 1, 1)]
+
+
+def letter_blocks(s):
+    blocks: dict[tuple[int, int], list[Monomial]] = {}
+    for m in monomials(s):
+        blocks.setdefault(spaces_mod._wedge_letter_counts(m), []).append(m)
+    return [tuple(block) for block in blocks.values()]
+
+
+@pytest.mark.parametrize("shape", TABLE_SHAPES)
+def test_action_tables_equal_act_monomial_on_every_row(shape):
+    s = SpaceDescriptor(*shape)
+    n = s.n
+    perms = [full_cycle(n + 1)] + [transposition(n + 1, i, i + 1) for i in range(1, n)]
+    for block in letter_blocks(s):
+        index_of = {x: i for i, x in enumerate(block)}
+        for sigma in perms:
+            table = spaces_mod._ActionTable(block, sigma, n)
+            assert len(table.starts) == len(block) + 1
+            for i, m in enumerate(block):
+                row = list(table.row(i))
+                expected = {index_of[t]: c for t, c in act_monomial(sigma, m, n).items()}
+                assert len(row) == len(expected) and dict(row) == expected, (m.render(), sigma)
+
+
+@pytest.mark.parametrize("shape", TABLE_SHAPES)
+def test_blocks_are_wedge_major_with_legs_in_product_order(shape):
+    # _ActionTable reads block position w * n^(a+b) + l as (w-th wedge, l-th leg tuple).
+    s = SpaceDescriptor(*shape)
+    leg_tuples = list(itertools.product(range(1, s.n + 1), repeat=s.a + s.b))
+    for block in letter_blocks(s):
+        runs = [block[i : i + len(leg_tuples)] for i in range(0, len(block), len(leg_tuples))]
+        assert len(block) == len(runs) * len(leg_tuples)
+        assert len({run[0].wedge for run in runs}) == len(runs)
+        for run in runs:
+            assert all(m.wedge == run[0].wedge for m in run)
+            assert [m.duals + m.legs for m in run] == leg_tuples
 
 
 def test_invariance_self_check_fires(monkeypatch):
