@@ -5,13 +5,21 @@ Subcommands:
 * ``verify``: for each n in the configured range, check the closed-form
   tables against raw invariant dimensions and the character oracle, run
   the coefficient and rank batteries, replay the full dimension chase,
-  and emit a PASS/FAIL report (text, csv, or json). Exit code 0 on PASS,
-  1 on FAIL, 2 on usage or internal error; an internal error names the
-  n and the stage (tables, oracle, coefficients, ranks, theorem or
-  bases) where it happened. Warnings about known
-  discrepancies in the published reference tables are attached to the
-  report but never affect the verdict.
-* ``table``: one closed-form family next to its raw recomputation.
+  and emit a PASS/FAIL report (text, csv, or json). The raw dimensions
+  of the tables and oracle stages come from :func:`patterns.pattern_dim`,
+  which never lists monomials; the rank battery, the chase and
+  ``--print-bases`` use materialised invariant bases, and the dimension
+  of each is checked against the character oracle where it is used.
+  Exit code 0 on PASS, 1 on FAIL, 2 on usage or internal error; an
+  internal error names the n and the stage (tables, oracle,
+  coefficients, ranks, theorem or bases) where it happened. Warnings
+  about known discrepancies in the published reference tables are
+  attached to the report but never affect the verdict. The csv format
+  is a per-check summary that does not echo the configuration, so
+  ``--swap-uv`` changes no csv byte, and ``--print-bases`` with csv is
+  a usage error.
+* ``table``: one closed-form family next to its raw recomputation
+  (pattern dimensions).
 * ``invariants``: dimension (and optionally the echelonized basis) of a
   single space.
 
@@ -33,8 +41,16 @@ from dataclasses import asdict, dataclass
 
 from . import characters, dimformulas
 from .chase import TheoremFailure, verify_theorem
+from .patterns import pattern_dim
 from .spaces import SpaceDescriptor, invariant_basis, space_dim
-from .yoneda import DistinguishedClass, build_class, compose, map_on_invariants, theta_of
+from .yoneda import (
+    DistinguishedClass,
+    build_class,
+    checked_basis,
+    compose,
+    map_on_invariants,
+    theta_of,
+)
 
 REPORT_VERSION = "1.0"
 
@@ -59,11 +75,15 @@ class RunConfig:
             raise ValueError("oracle_n_max must be at least n_max")
         if self.format not in ("text", "csv", "json"):
             raise ValueError(f"unknown format {self.format!r}")
+        if self.format == "csv" and self.print_bases:
+            raise ValueError(
+                "--print-bases needs --format text or json; csv is a per-check summary"
+            )
 
 
 def _raw_table(family: str, n: int) -> list[int]:
     a, b = dimformulas.TABLE_FAMILIES[family]
-    return [invariant_basis(SpaceDescriptor(n, k, a, b)).dim for k in range(2 * n + 1)]
+    return [pattern_dim(SpaceDescriptor(n, k, a, b)) for k in range(2 * n + 1)]
 
 
 def _coefficient_checks(n: int) -> list[dict]:
@@ -179,7 +199,7 @@ def _table_results(n: int) -> tuple[dict[str, dict], bool]:
 
 
 def _oracle_results(n: int) -> dict:
-    """Character-oracle dimensions against raw ones on every table and battery space."""
+    """Character-oracle dimensions against pattern ones on every table and battery space."""
     seen: set[SpaceDescriptor] = set()
     for family in TABLE_ORDER:
         a, b = dimformulas.TABLE_FAMILIES[family]
@@ -187,7 +207,7 @@ def _oracle_results(n: int) -> dict:
             seen.add(SpaceDescriptor(n, k, a, b))
     seen.update(_battery_descriptors(n))
     matches = [
-        characters.invariant_dim(s) == invariant_basis(s).dim
+        characters.invariant_dim(s) == pattern_dim(s)
         for s in sorted(seen, key=lambda s: (s.k, s.a, s.b))
     ]
     return {"descriptors": len(matches), "all_match": all(matches)}
@@ -218,7 +238,7 @@ def _bases(n: int) -> dict[str, list[str]]:
     for family in TABLE_ORDER:
         a, b = dimformulas.TABLE_FAMILIES[family]
         for k in range(2 * n + 1):
-            basis = invariant_basis(SpaceDescriptor(n, k, a, b))
+            basis = checked_basis(SpaceDescriptor(n, k, a, b))
             if basis.dim:
                 bases[f"{family}[{k}]"] = [v.render() for v in basis.vectors]
     return bases

@@ -1,0 +1,256 @@
+"""Invariant dimensions from orbit patterns, without enumerating monomials.
+
+The permutations of {1, ..., n} (the stabilizer of n+1) permute the
+indices of a monomial and keep the u/v split of its wedge part, so an
+orbit of monomials is named by its *pattern*: the multiset of the
+nonempty index types, where the type of an index says whether it carries
+a u-factor, a v-factor and which leg slots. A pattern has at most n
+types. Its signed orbit sum is consistent, and so spans a line of
+S_n-invariants, unless its stabilizer contains an odd wedge permutation,
+which happens exactly when two leg-free types are both u-only or both
+v-only. These are the set-partition orbit bases of Halverson and Ram
+("Partition algebras", 2005) and Benkart and Halverson (2019); their
+number stops growing once n reaches the number of slots.
+
+The whole group is generated by S_n and tau = (n n+1). For an
+S_n-invariant v, (tau - I)v is fixed by the permutations of {1..n-1},
+so it vanishes iff it vanishes at one representative monomial of each
+of their consistent orbits. Each such row is a sum over the preimages
+of the representative, the monomials that put index n on a set S of its
+slots (at most one u-slot and one v-slot, every slot holding index n
+among them), signed by (-1)^|S|, by the wedge re-sort and by the
+canonical sign of the preimage in its orbit sum. The dimension is the
+number of consistent patterns minus the rank of these rows.
+
+The same preimage routine, written for any permutation g that moves
+n+1, gives the rows of (g - I) at the orbits of the permutations fixing
+n+1 and g(n+1). Every kernel vector, scaled to integers, must be sent to
+zero by the rows of the (n+1)-cycle, else the computation raises.
+
+Dual and plain legs are acted on alike, so the dimension depends on
+(n, k, a + b) only and is memoised on that key. Nothing here uses the
+monomial tables of :mod:`spaces`, which this module is checked against.
+
+>>> [pattern_dim(SpaceDescriptor(n=4, k=k, a=1, b=1)) for k in range(9)]
+[1, 2, 6, 6, 7, 6, 6, 2, 1]
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import product
+
+from .linalg import kernel_of_rows
+from .spaces import SpaceDescriptor
+from .symgroup import Permutation, full_cycle, transposition
+
+# A type is an int: bit 1 marks a u-factor, bit 0 a v-factor, bit 2 + s leg slot s.
+_U, _V, _LEG = 2, 1, 4
+
+
+def _sort_sign(seq: list[int]) -> int:
+    """Sign of the permutation that sorts the distinct entries of ``seq``."""
+    sign = 1
+    for i, x in enumerate(seq):
+        for y in seq[i + 1 :]:
+            if x > y:
+                sign = -sign
+    return sign
+
+
+def _canonical(us, vs, legs, n: int) -> tuple[tuple[int, ...], int]:
+    """Pattern of a monomial and its coefficient in the pattern's orbit sum.
+
+    ``us`` and ``vs`` are the sorted u- and v-indices of the wedge part,
+    ``legs`` the index of each leg slot. The orbit sum is sigma applied
+    to the representative that numbers the types 1, 2, ... in sorted
+    order, so the coefficient is the sign of re-sorting the u-indices,
+    and the v-indices, listed in that type order. Indices of equal type
+    are listed by index; for a consistent pattern they carry both a u-
+    and a v-factor, and the two signs agree whatever their order.
+    """
+    types = [0] * (n + 1)
+    for i in us:
+        types[i] |= _U
+    for i in vs:
+        types[i] |= _V
+    for slot, i in enumerate(legs):
+        types[i] |= _LEG << slot
+    order = sorted((t, i) for i, t in enumerate(types) if t)
+    sign = _sort_sign([i for t, i in order if t & _U]) * _sort_sign(
+        [i for t, i in order if t & _V]
+    )
+    return tuple(t for t, _ in order), sign
+
+
+def _set_partitions(mask: int):
+    """Every partition of the set bits of ``mask``, as lists of masks."""
+    if not mask:
+        yield []
+        return
+    low = mask & -mask
+    rest = mask ^ low
+    sub = rest
+    while True:
+        for tail in _set_partitions(rest ^ sub):
+            yield [low | sub, *tail]
+        if not sub:
+            return
+        sub = (sub - 1) & rest
+
+
+def _patterns(p: int, q: int, legs: int, most: int) -> list[tuple[int, ...]]:
+    """Consistent patterns with p u-factors, q v-factors and the leg bits ``legs``.
+
+    Each leg block of a set partition of the slots becomes one type, with
+    or without a u- and a v-factor; leg-free types fill the remaining
+    factors, at most one u-only and one v-only. At most ``most`` types.
+    """
+    out = []
+    for blocks in _set_partitions(legs):
+        for flags in product(range(4), repeat=len(blocks)):
+            typed = [block | f for block, f in zip(blocks, flags)]
+            rp = p - sum(f >> 1 for f in flags)
+            rq = q - sum(f & 1 for f in flags)
+            for x, y in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                both = rp - x
+                if both < 0 or both != rq - y or len(typed) + x + y + both > most:
+                    continue
+                out.append(tuple(sorted(typed + [_U] * x + [_V] * y + [_U | _V] * both)))
+    return out
+
+
+def _representatives(p: int, q: int, legs: int, n: int, f: int):
+    """One monomial per consistent orbit of the permutations fixing f (and n+1).
+
+    Index f takes any type (or none); the other types fill the remaining
+    indices in ascending order. Yields (us, vs, legs) as in :func:`_canonical`.
+    """
+    others = [i for i in range(1, n + 1) if i != f]
+    slots = legs.bit_length() - 2 if legs else 0
+    sub = legs
+    while True:
+        for flag in range(4):
+            tp, tq = flag >> 1, flag & 1
+            if tp > p or tq > q:
+                continue
+            for rest in _patterns(p - tp, q - tq, legs ^ sub, n - 1):
+                index_types = list(zip(others, rest))
+                if sub | flag:
+                    index_types.append((f, sub | flag))
+                index_types.sort()
+                leg_at = [0] * slots
+                for i, t in index_types:
+                    for s in range(slots):
+                        if t >> s & _LEG:
+                            leg_at[s] = i
+                yield (
+                    [i for i, t in index_types if t & _U],
+                    [i for i, t in index_types if t & _V],
+                    leg_at,
+                )
+        if not sub:
+            return
+        sub = (sub - 1) & legs
+
+
+def _slot_choices(indices: list[int], f: int, e: int, inverse: list[int]):
+    """Preimage choices for the u- (or v-) factors of a representative.
+
+    Either no factor came from index e = g^-1(n+1), or exactly one did,
+    and a factor at index f = g(n+1) must have. Yields the sorted
+    preimage indices and their sign: -1 if a factor came from e, times
+    the sign of re-sorting.
+    """
+    mapped = [inverse[i] for i in indices]
+    forced = [t for t, i in enumerate(indices) if i == f]
+    for pick in forced or [None, *range(len(indices))]:
+        pre = list(mapped)
+        sign = 1
+        if pick is not None:
+            pre[pick] = e
+            sign = -1
+        yield sign * _sort_sign(pre), tuple(sorted(pre))
+
+
+def _rows(g: Permutation, p: int, q: int, legs: int, n: int, column_of: dict) -> list[dict]:
+    """Rows of (g - I) on the consistent orbit sums, g a permutation moving n+1.
+
+    (g - I)v is fixed by the permutations fixing n+1 and f = g(n+1), so
+    it is evaluated at one representative r of each consistent orbit of
+    those. The coefficient of r in g(v) sums over the preimages m of r:
+    the slots S of r that came from index e = g^-1(n+1), whose image n+1
+    expands to -(e_1 + ... + e_n), and every other slot from g^-1 of its
+    index. Each m contributes (-1)^|S| times the wedge re-sort sign times
+    its coefficient in its orbit sum.
+    """
+    f = g(n + 1)
+    inverse = [0, *g.inverse().images]
+    e = inverse[n + 1]
+    seen: dict[tuple, tuple[int | None, int]] = {}  # preimage -> (column, sign)
+    out = []
+    for us, vs, leg_at in _representatives(p, q, legs, n, f):
+        pattern, sign = _canonical(us, vs, leg_at, n)
+        col = column_of.get(pattern)
+        row: dict[int, int] = {} if col is None else {col: -sign}
+        slot_options = [[(-1, e)] if i == f else [(1, inverse[i]), (-1, e)] for i in leg_at]
+        leg_choices = [
+            (math.prod(c for c, _ in combo), tuple(j for _, j in combo))
+            for combo in product(*slot_options)
+        ]
+        for sign_u, pre_u in _slot_choices(us, f, e, inverse):
+            for sign_v, pre_v in _slot_choices(vs, f, e, inverse):
+                for sign_l, pre_l in leg_choices:
+                    key = (pre_u, pre_v, pre_l)
+                    hit = seen.get(key)
+                    if hit is None:
+                        pattern, sign = _canonical(pre_u, pre_v, pre_l, n)
+                        hit = seen[key] = (column_of.get(pattern), sign)
+                    col, sign = hit
+                    if col is not None:
+                        row[col] = row.get(col, 0) + sign_u * sign_v * sign_l * sign
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            out.append(row)
+    return out
+
+
+def _block_dim(p: int, q: int, slots: int, n: int, s: SpaceDescriptor) -> int:
+    """Invariant dimension of the (p, q) block, checked against the cycle."""
+    legs = ((1 << slots) - 1) * _LEG
+    columns = _patterns(p, q, legs, n)
+    column_of = {pattern: j for j, pattern in enumerate(columns)}
+    tau = transposition(n + 1, n, n + 1)
+    # Sparse rows first: elimination then fills in far less.
+    rows = sorted(_rows(tau, p, q, legs, n, column_of), key=len)
+    kernel = kernel_of_rows(rows, len(columns))
+    if kernel:
+        cycle_rows = _rows(full_cycle(n + 1), p, q, legs, n, column_of)
+        for vec in kernel:
+            scale = math.lcm(*(c.denominator for c in vec.values()))
+            ints = {j: c.numerator * (scale // c.denominator) for j, c in vec.items()}
+            if any(sum(c * ints.get(j, 0) for j, c in row.items()) for row in cycle_rows):
+                raise RuntimeError(f"pattern kernel vector not invariant in {s}")
+    return len(kernel)
+
+
+_DIM_CACHE: dict[tuple[int, int, int], int] = {}
+
+
+def pattern_dim(s: SpaceDescriptor) -> int:
+    """Dimension of the subspace of W(n; k, a, b) fixed by the whole group.
+
+    Sums over the (p, q) blocks of the wedge part. Exchanging u and v
+    maps the (p, q) block onto the (q, p) block, up to one sign, and
+    commutes with the action, so only blocks with p >= q are solved.
+    """
+    key = (s.n, s.k, s.a + s.b)
+    hit = _DIM_CACHE.get(key)
+    if hit is not None:
+        return hit
+    total = 0
+    for p in range((s.k + 1) // 2, min(s.k, s.n) + 1):
+        dim = _block_dim(p, s.k - p, s.a + s.b, s.n, s)
+        total += dim if 2 * p == s.k else 2 * dim
+    _DIM_CACHE[key] = total
+    return total

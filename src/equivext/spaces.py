@@ -27,6 +27,11 @@ tables in integer arithmetic against both group generators. Reduced
 echelon bases are unique, so the output is reproducible bit for bit no
 matter how the kernel was obtained.
 
+This module materialises invariant vectors, which composition, ranks
+and printed bases need. Callers that need only a dimension use
+:func:`equivext.patterns.pattern_dim`, which never lists monomials and
+shares none of the tables here.
+
 >>> s = SpaceDescriptor(n=2, k=2, a=0, b=0)
 >>> len(invariant_basis(s).vectors)
 1
@@ -180,9 +185,6 @@ class SparseVector:
         if other.space != self.space:
             raise ValueError("space mismatch")
         return SparseVector(self.space, _add_into(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other: "SparseVector") -> "SparseVector":
-        return self + other.scaled(-1)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda mc: _monomial_sort_key(mc[0]))

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .characters import invariant_dim
 from .linalg import SparseMatrix, rank
 from .spaces import (
     InvariantBasis,
@@ -200,6 +201,15 @@ def compose(x: SparseVector, y: SparseVector, pairing: str = "equivariant") -> S
     return SparseVector(target, terms)
 
 
+def checked_basis(s: SpaceDescriptor) -> InvariantBasis:
+    """:func:`invariant_basis`, its dimension checked against the character oracle."""
+    basis = invariant_basis(s)
+    expected = invariant_dim(s)
+    if basis.dim != expected:
+        raise RuntimeError(f"invariant basis of {s} has dimension {basis.dim}, oracle {expected}")
+    return basis
+
+
 @dataclass(frozen=True)
 class MapOnInvariants:
     """Matrix of a composition operator restricted to invariant bases."""
@@ -231,8 +241,8 @@ def map_on_invariants(
         if source.a != c.space.b:
             raise ValueError("incompatible legs for pull")
         target_desc = SpaceDescriptor(n, c.space.k + source.k, c.space.a, source.b)
-    src = invariant_basis(source)
-    tgt = invariant_basis(target_desc)
+    src = checked_basis(source)
+    tgt = checked_basis(target_desc)
     entries: dict[tuple[int, int], Fraction] = {}
     for j, vec in enumerate(src.vectors):
         image = compose(c.value, vec) if side == "push" else compose(vec, c.value)

@@ -219,3 +219,46 @@ def test_worker_failure_names_n_and_stage(monkeypatch, capsys, stage, target):
     assert code == 2
     assert err.startswith("internal error: n=2, stage " + stage + ":")
     assert "injected failure" in err
+
+
+def test_csv_rejects_print_bases(capsys):
+    code = main(["verify", "--n-min", "2", "--n-max", "2", "--print-bases", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "--print-bases" in captured.err
+
+
+def test_csv_summary_does_not_echo_swap_uv(capsys):
+    argv = ["verify", "--n-min", "2", "--n-max", "3", "--format", "csv"]
+    code, plain = run_cli(capsys, argv)
+    swapped_code, swapped = run_cli(capsys, argv + ["--swap-uv"])
+    assert code == swapped_code == 0
+    assert swapped == plain
+
+
+def test_table_and_oracle_stages_enumerate_no_monomials(monkeypatch):
+    import equivext.cli as cli_mod
+    import equivext.patterns as patterns_mod
+    import equivext.spaces as spaces_mod
+
+    def boom(s):
+        raise AssertionError(f"monomials({s}) called")
+
+    spaces_mod.clear_caches()
+    patterns_mod._DIM_CACHE.clear()
+    monkeypatch.setattr(spaces_mod, "monomials", boom)
+    tables, palindromes = cli_mod._table_results(5)
+    assert palindromes
+    assert all(t["match"] for t in tables.values())
+    assert cli_mod._oracle_results(5) == {"descriptors": 44, "all_match": True}
+
+
+def test_printed_bases_are_checked_against_the_oracle(monkeypatch):
+    import equivext.cli as cli_mod
+    import equivext.yoneda as yoneda_mod
+
+    monkeypatch.setattr(yoneda_mod, "invariant_dim", lambda s: 0 if s.k else 7)
+    with pytest.raises(RuntimeError, match="oracle 7"):
+        cli_mod._bases(2)

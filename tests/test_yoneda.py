@@ -288,6 +288,19 @@ def test_map_matrix_shape_matches_bases():
     assert m.matrix.cols == m.source.dim
 
 
+@pytest.mark.parametrize("wrong", ["source", "target"])
+def test_map_bases_are_checked_against_the_oracle(monkeypatch, wrong):
+    import equivext.yoneda as yoneda_mod
+
+    theta = build_class("theta(v)", 2)
+    source = SpaceDescriptor(2, 1, 1, 0)
+    bad = source if wrong == "source" else SpaceDescriptor(2, 2, 1, 1)
+    oracle = yoneda_mod.invariant_dim
+    monkeypatch.setattr(yoneda_mod, "invariant_dim", lambda s: oracle(s) + (s == bad))
+    with pytest.raises(RuntimeError, match="has dimension"):
+        map_on_invariants(theta, "push", source)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_returned_coefficients_are_fractions(n):
     # The monomial layer counts in ints; every vector handed out is exact rational.
