@@ -216,7 +216,7 @@ def verify_theorem(n: int, check_remark: bool = False, swap_uv: bool = False) ->
         if not passed:
             raise TheoremFailure(step, steps)
 
-    theta = build_class("theta(u)" if swap_uv else "theta(v)", n, swap_uv=False)
+    theta = build_class("theta(u)" if swap_uv else "theta(v)", n)
 
     # Connecting ranks of the first row: even degrees carry the only
     # nonzero sources, and each must inject into the next graded piece.

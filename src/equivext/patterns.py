@@ -1,4 +1,4 @@
-"""Invariant dimensions from orbit patterns, without enumerating monomials.
+"""Invariants from orbit patterns, without enumerating monomials.
 
 The permutations of {1, ..., n} (the stabilizer of n+1) permute the
 indices of a monomial and keep the u/v split of its wedge part, so an
@@ -27,10 +27,13 @@ n+1, gives the rows of (g - I) at the orbits of the permutations fixing
 n+1 and g(n+1). Every kernel vector, scaled to integers, must be sent to
 zero by the rows of the (n+1)-cycle, else the computation raises.
 
-Dual and plain legs are acted on alike, so the dimension depends on
-(n, k, a + b) only and is memoised on that key. Nothing here uses the
-monomial tables of :mod:`spaces`, which this module is checked against.
+Dual and plain legs are acted on alike, so a block's kernel depends on
+(n, p, q, a + b) only and is memoised on that key. The kernel is the one
+source of invariants: :func:`pattern_dim` counts it, and
+:func:`equivext.spaces.invariant_basis` expands it to monomials and
+checks the result on its integer action tables.
 
+>>> from equivext.spaces import SpaceDescriptor
 >>> [pattern_dim(SpaceDescriptor(n=4, k=k, a=1, b=1)) for k in range(9)]
 [1, 2, 6, 6, 7, 6, 6, 2, 1]
 """
@@ -38,11 +41,15 @@ monomial tables of :mod:`spaces`, which this module is checked against.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
+from typing import TYPE_CHECKING
 
 from .linalg import kernel_of_rows
-from .spaces import SpaceDescriptor
 from .symgroup import Permutation, full_cycle, transposition
+
+if TYPE_CHECKING:
+    from .spaces import SpaceDescriptor
 
 # A type is an int: bit 1 marks a u-factor, bit 0 a v-factor, bit 2 + s leg slot s.
 _U, _V, _LEG = 2, 1, 4
@@ -215,9 +222,25 @@ def _rows(g: Permutation, p: int, q: int, legs: int, n: int, column_of: dict) ->
     return out
 
 
-def _block_dim(p: int, q: int, slots: int, n: int, s: SpaceDescriptor) -> int:
-    """Invariant dimension of the (p, q) block, checked against the cycle."""
-    legs = ((1 << slots) - 1) * _LEG
+Kernel = list[dict[tuple[int, ...], Fraction]]
+
+_KERNEL_CACHE: dict[tuple[int, int, int, int], Kernel] = {}
+
+
+def block_kernel(s: SpaceDescriptor, p: int, q: int) -> Kernel:
+    """Invariants of the (p, q) block of ``s`` as combinations of orbit sums.
+
+    Each vector maps a consistent pattern to its coefficient; the orbit
+    sum of a pattern has coefficient ``sign`` on each monomial for which
+    :func:`_canonical` gives that pattern and ``sign``. Every vector,
+    scaled to integers, is checked against the rows of the cycle.
+    """
+    key = (s.n, p, q, s.a + s.b)
+    hit = _KERNEL_CACHE.get(key)
+    if hit is not None:
+        return hit
+    n = s.n
+    legs = ((1 << (s.a + s.b)) - 1) * _LEG
     columns = _patterns(p, q, legs, n)
     column_of = {pattern: j for j, pattern in enumerate(columns)}
     tau = transposition(n + 1, n, n + 1)
@@ -231,26 +254,21 @@ def _block_dim(p: int, q: int, slots: int, n: int, s: SpaceDescriptor) -> int:
             ints = {j: c.numerator * (scale // c.denominator) for j, c in vec.items()}
             if any(sum(c * ints.get(j, 0) for j, c in row.items()) for row in cycle_rows):
                 raise RuntimeError(f"pattern kernel vector not invariant in {s}")
-    return len(kernel)
-
-
-_DIM_CACHE: dict[tuple[int, int, int], int] = {}
+    result = [{columns[j]: c for j, c in vec.items()} for vec in kernel]
+    _KERNEL_CACHE[key] = result
+    return result
 
 
 def pattern_dim(s: SpaceDescriptor) -> int:
     """Dimension of the subspace of W(n; k, a, b) fixed by the whole group.
 
-    Sums over the (p, q) blocks of the wedge part. Exchanging u and v
-    maps the (p, q) block onto the (q, p) block, up to one sign, and
-    commutes with the action, so only blocks with p >= q are solved.
+    Sums the kernel sizes of the (p, q) blocks of the wedge part.
+    Exchanging u and v maps the (p, q) block onto the (q, p) block, up
+    to one sign, and commutes with the action, so only blocks with
+    p >= q are solved.
     """
-    key = (s.n, s.k, s.a + s.b)
-    hit = _DIM_CACHE.get(key)
-    if hit is not None:
-        return hit
     total = 0
     for p in range((s.k + 1) // 2, min(s.k, s.n) + 1):
-        dim = _block_dim(p, s.k - p, s.a + s.b, s.n, s)
+        dim = len(block_kernel(s, p, s.k - p))
         total += dim if 2 * p == s.k else 2 * dim
-    _DIM_CACHE[key] = total
     return total

@@ -13,24 +13,21 @@ each block by index", which fixes every sign once and for all.
 Coefficients produced by the action are integers; they become
 ``Fraction``s only in elimination and in the vectors handed out.
 Invariant subspaces are computed per block of monomials with fixed
-numbers of u- and v-factors, which the action preserves. For each block
-the images of its monomials under the (n+1)-cycle and under the adjacent
-transpositions (1 2), ..., (n-1 n) are tabulated once, as integer rows
-over positions in the block, and dropped with the block. A permutation
-acts on the wedge part and on each leg separately, so each table is the
-Kronecker product of a table over the block's wedges and the n x n index
-table j -> sigma(j) taken over every leg slot. The signed
-orbit sums under the adjacent transpositions span the vectors those fix,
-and the kernel of (M_cycle - I) on the orbit sums is the fixed space of
-the whole group. Each block's reduced echelon basis is checked on the
-tables in integer arithmetic against both group generators. Reduced
+numbers of u- and v-factors, which the action preserves. Each block's
+invariants come from the pattern kernel of :mod:`equivext.patterns`,
+expanded to monomials, put in reduced echelon form and checked in
+integer arithmetic against both group generators. For the check, the
+images of the block's monomials under each generator are tabulated once,
+as integer rows over positions in the block, and dropped with the block.
+A permutation acts on the wedge part and on each leg separately, so each
+table is the Kronecker product of a table over the block's wedges and
+the n x n index table j -> sigma(j) taken over every leg slot. Reduced
 echelon bases are unique, so the output is reproducible bit for bit no
 matter how the kernel was obtained.
 
 This module materialises invariant vectors, which composition, ranks
 and printed bases need. Callers that need only a dimension use
-:func:`equivext.patterns.pattern_dim`, which never lists monomials and
-shares none of the tables here.
+:func:`equivext.patterns.pattern_dim`, which never lists monomials.
 
 >>> s = SpaceDescriptor(n=2, k=2, a=0, b=0)
 >>> len(invariant_basis(s).vectors)
@@ -46,7 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import kernel_of_rows, rref_vectors
-from .symgroup import Permutation, full_cycle, generators, transposition
+from .patterns import _KERNEL_CACHE, _canonical, block_kernel
+from .symgroup import Permutation, generators
 
 Gen = tuple[str, int]  # ("u" | "v", index in 1..n)
 
@@ -360,10 +358,9 @@ class _ActionTable:
     >>> block = monomials(SpaceDescriptor(n=2, k=1, a=0, b=1))[:4]
     >>> [m.render() for m in block]
     ['u1|e1', 'u1|e2', 'u2|e1', 'u2|e2']
-    >>> swap = _ActionTable(block, transposition(3, 1, 2), 2)
-    >>> [list(swap.row(i)) for i in range(4)]
+    >>> swap, cycle = (_ActionTable(block, g, 2) for g in generators(2))
+    >>> [list(swap.row(i)) for i in range(4)]  # (1 2)
     [[(3, 1)], [(2, 1)], [(1, 1)], [(0, 1)]]
-    >>> cycle = _ActionTable(block, full_cycle(3), 2)
     >>> list(cycle.row(0)), sorted(cycle.row(1))  # u1|e2 -> u2|e3 = -u2|e1 - u2|e2
     ([(3, 1)], [(2, -1), (3, -1)])
     """
@@ -418,72 +415,34 @@ class _ActionTable:
         return image == ints
 
 
-def _signed_orbit_columns(tables: list[_ActionTable], size: int) -> list[list[tuple[int, int]]]:
-    """Explicit basis of the common fixed space of signed permutations.
-
-    Every table must send each monomial to a signed single monomial (true
-    for transpositions not touching index n+1, since no index ever lands
-    on n+1). The fixed space is then spanned by the consistent signed
-    orbit sums; an orbit with a sign conflict contributes nothing.
-    """
-    seen = bytearray(size)
-    basis: list[list[tuple[int, int]]] = []
-    for start in range(size):
-        if seen[start]:
-            continue
-        orbit = {start: 1}
-        queue = [start]
-        consistent = True
-        while queue:
-            i = queue.pop()
-            for table in tables:
-                ((j, s),) = table.row(i)
-                value = orbit[i] * s
-                if j in orbit:
-                    if orbit[j] != value:
-                        consistent = False
-                else:
-                    orbit[j] = value
-                    queue.append(j)
-        for i in orbit:
-            seen[i] = 1
-        if consistent:
-            basis.append(sorted(orbit.items()))
-    return basis
-
-
 def _invariant_vectors_block(
     block: tuple[Monomial, ...], s: SpaceDescriptor
 ) -> list[dict[int, Fraction]]:
     """Reduced echelon basis of the invariants supported on one block.
 
-    Indices are positions in ``block``. The action tables live only for
-    this call; every returned vector has been checked against them.
+    Indices are positions in ``block``. Each pattern kernel vector puts
+    its coefficient of a pattern, times the monomial's sign in the
+    pattern's orbit sum, on every monomial of that pattern. The action
+    tables live only for this call; every returned vector has been
+    checked against them.
     """
     n = s.n
-    cycle = full_cycle(n + 1)
-    adjacents = [transposition(n + 1, i, i + 1) for i in range(1, n)]
-    tables = {sigma: _ActionTable(block, sigma, n) for sigma in (cycle, *adjacents)}
-    fixed = _signed_orbit_columns([tables[sigma] for sigma in adjacents], len(block))
-    # Columns of (M_cycle - I) restricted to the fixed space of the adjacents.
-    rows: dict[int, dict[int, int]] = {}
-    for j, combo in enumerate(fixed):
-        accum = {i: -sign for i, sign in combo}
-        for i, sign in combo:
-            _add_into(accum, tables[cycle].row(i), sign)
-        for t, v in accum.items():
-            rows.setdefault(t, {})[j] = v
-    row_list = [rows[t] for t in sorted(rows)]
-    combos = []
-    for coords in kernel_of_rows(row_list, len(fixed)):
-        vec: dict[int, Fraction] = {}
-        for j, cj in coords.items():
-            _add_into(vec, fixed[j], cj)
-        combos.append(vec)
+    kernel = block_kernel(s, *_wedge_letter_counts(block[0]))
+    members: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for i, m in enumerate(block):
+        us = [j for letter, j in m.wedge if letter == "u"]
+        vs = [j for letter, j in m.wedge if letter == "v"]
+        pattern, sign = _canonical(us, vs, m.duals + m.legs, n)
+        members.setdefault(pattern, []).append((i, sign))
+    combos = [
+        {i: c * sign for pattern, c in coeffs.items() for i, sign in members[pattern]}
+        for coeffs in kernel
+    ]
     vectors = rref_vectors(combos, len(block))
     # generators(n) is (1 2) and the cycle; at n = 1 the cycle is (1 2).
     for sigma in generators(n):
-        if not all(tables[sigma].fixes(vec) for vec in vectors):
+        table = _ActionTable(block, sigma, n)
+        if not all(table.fixes(vec) for vec in vectors):
             raise RuntimeError(f"computed vector not invariant in {s}")
     return vectors
 
@@ -495,18 +454,16 @@ def invariant_basis(s: SpaceDescriptor) -> InvariantBasis:
     """Basis of the subspace fixed by the whole group, in reduced echelon form.
 
     The action preserves the number of u- and v-factors of the wedge
-    part, so each (p, q) block is solved on its own. The block's action
-    under the (n+1)-cycle and each adjacent transposition (i i+1) is
-    tabulated once, in integers over monomial positions, as the Kronecker
-    product of the action on the block's wedges and on the leg indices
-    (:class:`_ActionTable`). The signed
-    orbit sums under the adjacent transpositions span what those fix,
-    and the kernel of (M_cycle - I) on them is what the whole group
-    fixes. Its reduced echelon basis is checked in integer arithmetic:
-    each vector, scaled to integer coefficients, must be mapped to
-    itself by both group generators. The blocks have disjoint supports,
-    so their bases, ordered by leading monomial, form the same unique
-    basis as the stacked reference :func:`invariant_basis_stacked`.
+    part, so each (p, q) block is solved on its own. Its invariants are
+    the pattern kernel :func:`equivext.patterns.block_kernel`, written
+    out on the block's monomials. Their reduced echelon basis is checked
+    in integer arithmetic: each vector, scaled to integer coefficients,
+    must be mapped to itself by both group generators, whose action on
+    the block is tabulated as the Kronecker product of the action on the
+    block's wedges and on the leg indices (:class:`_ActionTable`). The
+    blocks have disjoint supports, so their bases, ordered by leading
+    monomial, form the same unique basis as the stacked reference
+    :func:`invariant_basis_stacked`.
     """
     hit = _INVARIANT_CACHE.get(s)
     if hit is not None:
@@ -552,3 +509,4 @@ def invariant_basis_stacked(s: SpaceDescriptor, perms=None) -> InvariantBasis:
 def clear_caches() -> None:
     _MONOMIAL_CACHE.clear()
     _INVARIANT_CACHE.clear()
+    _KERNEL_CACHE.clear()

@@ -119,7 +119,7 @@ def theta_of(n: int, cu, cv) -> SparseVector:
     return SparseVector(space, terms)
 
 
-def build_class(name: str, n: int, swap_uv: bool = False) -> DistinguishedClass:
+def build_class(name: str, n: int) -> DistinguishedClass:
     """Construct one of the distinguished classes by name.
 
     theta(w): sum_i we_i (x) e_i          in W(n; 1, 0, 1)
@@ -128,29 +128,24 @@ def build_class(name: str, n: int, swap_uv: bool = False) -> DistinguishedClass:
     xi:       sum_i ue_i (x) e'_i (x) e_i in W(n; 1, 1, 1)
 
     with the sum running over i = 1..n+1 and the last term expanded into
-    the stored normal form. ``swap_uv`` exchanges the roles of the two
-    multiplicity directions; every rank built from these classes is
-    unchanged by the swap.
+    the stored normal form.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if name not in CLASS_NAMES:
         raise ValueError(f"unknown class name {name!r}")
-    letters = {"u": "v", "v": "u"} if swap_uv else {"u": "u", "v": "v"}
     if name.startswith("theta"):
-        w = letters[name[6]]
         space = SpaceDescriptor(n, 1, 0, 1)
-        terms = _orbit_sum(n, w, 0, 1)
+        terms = _orbit_sum(n, name[6], 0, 1)
     elif name == "omega":
         space = SpaceDescriptor(n, 2, 0, 0)
-        terms = _orbit_sum(n, letters["u"] + letters["v"], 0, 0)
+        terms = _orbit_sum(n, "uv", 0, 0)
     elif name.startswith("phi"):
-        w = letters[name[4]]
         space = SpaceDescriptor(n, 1, 1, 0)
-        terms = _orbit_sum(n, w, 1, 0)
+        terms = _orbit_sum(n, name[4], 1, 0)
     else:  # xi
         space = SpaceDescriptor(n, 1, 1, 1)
-        terms = _orbit_sum(n, letters["u"], 1, 1)
+        terms = _orbit_sum(n, "u", 1, 1)
     value = SparseVector(space, terms)
     for sigma in generators(n):
         if act(sigma, value) != value:

@@ -240,14 +240,12 @@ def test_csv_summary_does_not_echo_swap_uv(capsys):
 
 def test_table_and_oracle_stages_enumerate_no_monomials(monkeypatch):
     import equivext.cli as cli_mod
-    import equivext.patterns as patterns_mod
     import equivext.spaces as spaces_mod
 
     def boom(s):
         raise AssertionError(f"monomials({s}) called")
 
     spaces_mod.clear_caches()
-    patterns_mod._DIM_CACHE.clear()
     monkeypatch.setattr(spaces_mod, "monomials", boom)
     tables, palindromes = cli_mod._table_results(5)
     assert palindromes

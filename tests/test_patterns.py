@@ -7,15 +7,21 @@ import equivext.patterns as patterns_mod
 from equivext.characters import invariant_dim
 from equivext.dimformulas import TABLE_FAMILIES, formula_table
 from equivext.patterns import _canonical, pattern_dim
-from equivext.spaces import Monomial, SpaceDescriptor, act_monomial, invariant_basis
+from equivext.spaces import (
+    Monomial,
+    SpaceDescriptor,
+    act_monomial,
+    clear_caches,
+    invariant_basis,
+)
 from equivext.symgroup import Permutation
 
 
 @pytest.fixture(autouse=True)
 def fresh_pattern_cache():
-    patterns_mod._DIM_CACHE.clear()
+    clear_caches()
     yield
-    patterns_mod._DIM_CACHE.clear()
+    clear_caches()
 
 
 LEG_SPLITS = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]

@@ -20,7 +20,7 @@ from equivext.spaces import (
     space_dim,
     unit_vector,
 )
-from equivext.symgroup import Permutation, all_elements, full_cycle, transposition
+from equivext.symgroup import Permutation, all_elements, full_cycle, generators, transposition
 
 
 def vec(n, k, a, b, text_terms):
@@ -146,6 +146,16 @@ def test_generator_fixed_space_equals_full_group_fixed_space(s):
     assert from_generators.vectors == from_whole_group.vectors
 
 
+# The n <= 3 shapes of test_patterns.SHAPES (every split with a + b <= 3), every k.
+SMALL_SPACES = [
+    pytest.param(SpaceDescriptor(n, k, a, b), id=f"n{n}-k{k}-a{a}-b{b}")
+    for n in (1, 2, 3)
+    for a in range(4)
+    for b in range(4 - a)
+    for k in range(2 * n + 2)
+]
+
+
 @pytest.mark.parametrize(
     "s",
     [
@@ -155,10 +165,14 @@ def test_generator_fixed_space_equals_full_group_fixed_space(s):
         SpaceDescriptor(4, 2, 1, 1),
         SpaceDescriptor(2, 2, 2, 1),
         SpaceDescriptor(3, 2, 2, 2),
+        *SMALL_SPACES,
     ],
 )
 def test_blockwise_path_matches_stacked_reference(s):
-    assert invariant_basis(s).vectors == invariant_basis_stacked(s).vectors
+    # The stacked reference shares no kernel with the pattern engine.
+    basis, reference = invariant_basis(s), invariant_basis_stacked(s)
+    assert [v.render() for v in basis.vectors] == [v.render() for v in reference.vectors]
+    assert [m.render() for m in basis.pivots] == [m.render() for m in reference.pivots]
 
 
 def test_coordinates_reject_outside_vectors():
@@ -231,33 +245,49 @@ def test_blocks_are_wedge_major_with_legs_in_product_order(shape):
 
 
 def test_invariance_self_check_fires(monkeypatch):
-    real = spaces_mod.kernel_of_rows
+    # Flip the sign of u1|e1 in the expansion of the pattern kernel to monomials.
+    canonical = spaces_mod._canonical
 
-    def perturbed(rows, ncols):
-        rows = list(rows)
-        kernel = real(rows, ncols)
-        if kernel and rows:
-            # e_j for a column j some row touches is not in the kernel, so
-            # kernel[0] + e_j is a nonzero vector outside it.
-            vec = dict(kernel[0])
-            j = min(rows[0])
-            vec[j] = vec.get(j, 0) + 1
-            kernel[0] = {c: v for c, v in vec.items() if v}
-        return kernel
+    def flipped(us, vs, legs, n):
+        pattern, sign = canonical(us, vs, legs, n)
+        if (list(us), list(vs), list(legs)) == ([1], [], [1]):
+            sign = -sign
+        return pattern, sign
 
     clear_caches()
-    monkeypatch.setattr(spaces_mod, "kernel_of_rows", perturbed)
+    monkeypatch.setattr(spaces_mod, "_canonical", flipped)
     s = SpaceDescriptor(3, 1, 0, 1)
-    with pytest.raises(RuntimeError, match=re.escape(str(s))):
+    with pytest.raises(RuntimeError, match=re.escape(f"computed vector not invariant in {s}")):
         invariant_basis(s)
 
 
 def test_invariance_self_check_covers_the_transposition(monkeypatch):
-    # Without the orbit sums the kernel is only fixed by the cycle; (1 2) must reject it.
+    # A vector fixed by the cycle alone must be rejected by the (1 2) table.
+    s = SpaceDescriptor(3, 0, 1, 1)  # one block: every monomial has an empty wedge
+    swap, cycle = generators(s.n)
+    x = total = vec(3, 0, 1, 1, {"1|d1|e2": 1})
+    for _ in range(s.n):
+        x = act(cycle, x)
+        total = total + x
+    assert act(cycle, total) == total and act(swap, total) != total
+    index_of = {m: i for i, m in enumerate(monomials(s))}
+    supplied = {index_of[m]: c for m, c in total.terms.items()}
+
     clear_caches()
-    monkeypatch.setattr(
-        spaces_mod, "_signed_orbit_columns", lambda tables, size: [[(i, 1)] for i in range(size)]
-    )
-    s = SpaceDescriptor(3, 1, 0, 1)
-    with pytest.raises(RuntimeError, match=re.escape(str(s))):
+    monkeypatch.setattr(spaces_mod, "rref_vectors", lambda vectors, ncols: [supplied])
+    with pytest.raises(RuntimeError, match=re.escape(f"computed vector not invariant in {s}")):
         invariant_basis(s)
+
+
+def test_tables_are_built_only_for_the_generators(monkeypatch):
+    built = []
+
+    class Recording(spaces_mod._ActionTable):
+        def __init__(self, block, sigma, n):
+            built.append(sigma)
+            super().__init__(block, sigma, n)
+
+    clear_caches()
+    monkeypatch.setattr(spaces_mod, "_ActionTable", Recording)
+    invariant_basis(SpaceDescriptor(4, 2, 1, 1))
+    assert set(built) == set(generators(4))
