@@ -428,6 +428,8 @@ def _invariant_vectors_block(
     """
     n = s.n
     kernel = block_kernel(s, *_wedge_letter_counts(block[0]))
+    if not kernel:
+        return []
     members: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for i, m in enumerate(block):
         us = [j for letter, j in m.wedge if letter == "u"]

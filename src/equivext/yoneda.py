@@ -21,6 +21,15 @@ coefficient computations verbatim (and only differs from the
 equivariant pairing when a contraction actually happens), but it is not
 equivariant, so it must not be used to build maps on invariant bases.
 
+The product is summed in integers. Each factor is scaled to integer
+numerators by the lcm of its denominators, dx and dy. The contractions
+use integer pairing values: (n+1) times the equivariant pairing, that is
+(n+1) delta - 1, or the table values as they are. The wedge parts are
+sorted once per pair of distinct wedge parts of x and y. Each output
+coefficient is divided once by D = dx * dy * s^a, where a is the number
+of contracted legs and s is n+1 for the equivariant pairing and 1 for
+the table, so the result is the same exact ``Fraction`` vector.
+
 >>> theta = build_class("theta(v)", 2)
 >>> omega = build_class("omega", 2)
 >>> compose(theta.value, omega.value).coeff_of("u1^v1^v2|e2")
@@ -29,6 +38,7 @@ Fraction(3, 1)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -153,11 +163,26 @@ def build_class(name: str, n: int) -> DistinguishedClass:
     return DistinguishedClass(name, value, space)
 
 
+def _by_wedge(v: SparseVector, scale: int) -> dict[tuple, list[tuple[tuple, tuple, int]]]:
+    """The terms of ``v`` times ``scale``, as (duals, legs, int) grouped by wedge part."""
+    groups: dict[tuple, list[tuple[tuple, tuple, int]]] = {}
+    for m, c in v.terms.items():
+        c_int = c.numerator * (scale // c.denominator)
+        groups.setdefault(m.wedge, []).append((m.duals, m.legs, c_int))
+    return groups
+
+
 def compose(x: SparseVector, y: SparseVector, pairing: str = "equivariant") -> SparseVector:
     """Product of x after y; see the module docstring for the convention.
 
     ``pairing`` selects the contraction: "equivariant" (default) or
     "table" for the verbatim replay of the published computations.
+
+    >>> from equivext.spaces import parse_monomial
+    >>> x = SparseVector.make(SpaceDescriptor(2, 0, 1, 0), {parse_monomial("1|d1"): 1})
+    >>> y = SparseVector.make(SpaceDescriptor(2, 0, 0, 1), {parse_monomial("1|e1"): 1})
+    >>> compose(x, y).coeff_of("1")
+    Fraction(-2, 3)
     """
     sx, sy = x.space, y.space
     if sx.n != sy.n:
@@ -169,31 +194,43 @@ def compose(x: SparseVector, y: SparseVector, pairing: str = "equivariant") -> S
         )
     n = sx.n
     if pairing == "equivariant":
-        pair = lambda d, l: equivariant_pair(n, d, l)
+        scale = n + 1
+        pair = lambda d, l: scale * equivariant_pair(n, d, l)
     elif pairing == "table":
+        scale = 1
         pair = PairingTable(n).pair
     else:
         raise ValueError(f"unknown pairing {pairing!r}")
-    target = SpaceDescriptor(n, sx.k + sy.k, sy.a, sx.b)
-    sign0 = -_ONE if sx.a % 2 else _ONE
-    terms: dict[Monomial, Fraction] = {}
-    for mx, cx in x.terms.items():
-        products = []
-        for my, cy in y.terms.items():
-            contraction = _ONE
-            for dual, leg in zip(mx.duals, my.legs):
-                contraction *= pair(dual, leg)
-                if not contraction:
-                    break
-            if not contraction:
-                continue
-            sorted_w = _sort_wedge(list(my.wedge) + list(mx.wedge))
+    # Integer pairing values: the contraction of a term pair is ``scale**a`` times its pairing.
+    indices = range(1, n + 2)
+    values = {(d, l): int(pair(d, l)) for d in indices for l in indices}
+    dx = math.lcm(*(c.denominator for c in x.terms.values()))
+    dy = math.lcm(*(c.denominator for c in y.terms.values()))
+    x_groups, y_groups = _by_wedge(x, dx), _by_wedge(y, dy)
+    acc: dict[tuple, int] = {}
+    for wy, y_terms in y_groups.items():
+        for wx, x_terms in x_groups.items():
+            sorted_w = _sort_wedge(wy + wx)
             if sorted_w is None:
                 continue
             ssign, wedge = sorted_w
-            products.append((Monomial(wedge, my.duals, mx.legs), ssign * contraction * cy))
-        _add_into(terms, products, sign0 * cx)
-    return SparseVector(target, terms)
+            for y_duals, y_legs, cy in y_terms:
+                products = []
+                for x_duals, x_legs, cx in x_terms:
+                    coeff = cx
+                    try:
+                        for dual, leg in zip(x_duals, y_legs):
+                            coeff *= values[dual, leg]
+                    except KeyError as missing:
+                        pair(*missing.args[0])  # raises: the index is out of range
+                        raise
+                    if coeff:
+                        products.append(((wedge, y_duals, x_legs), coeff))
+                _add_into(acc, products, ssign * cy)
+    sign0 = -1 if sx.a % 2 else 1
+    denominator = dx * dy * scale**sx.a
+    terms = {Monomial(*key): Fraction(sign0 * c, denominator) for key, c in acc.items()}
+    return SparseVector(SpaceDescriptor(n, sx.k + sy.k, sy.a, sx.b), terms)
 
 
 def checked_basis(s: SpaceDescriptor) -> InvariantBasis:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,23 @@ def test_verify_json_pass_and_exit_zero(capsys):
         "warnings",
         "verdict",
     }
+
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "verify --check-remark --format json",
+        "verify --n-min 5 --n-max 5 --oracle-n-max 5 --check-remark --format json",
+    ],
+)
+def test_verify_report_bytes_match_the_benchmark_references(capsys, command):
+    expected = json.loads(REFERENCES.read_text())[command]
+    code, out = run_cli(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
 
 
 def test_verify_reports_are_byte_identical(capsys):

@@ -7,6 +7,8 @@ from equivext.spaces import (
     Monomial,
     SpaceDescriptor,
     SparseVector,
+    _add_into,
+    _sort_wedge,
     act,
     invariant_basis,
     monomials,
@@ -19,6 +21,7 @@ from equivext.yoneda import (
     DistinguishedClass,
     PairingTable,
     build_class,
+    checked_basis,
     compose,
     equivariant_pair,
     map_on_invariants,
@@ -141,19 +144,63 @@ def test_table_contraction_image_is_not_invariant():
     assert act(cycle, image) != image
 
 
-def _random_vector(draw, s: SpaceDescriptor) -> SparseVector:
+def test_compose_rejects_contracted_indices_out_of_range():
+    x = SparseVector.make(SpaceDescriptor(2, 0, 1, 0), {parse_monomial("1|d1"): 1})
+    y = SparseVector.make(SpaceDescriptor(2, 0, 0, 1), {parse_monomial("1|e1"): 1})
+    far_x = SparseVector.make(x.space, {parse_monomial("1|d9"): 1})
+    far_y = SparseVector.make(y.space, {parse_monomial("1|e0"): 1})
+    for pairing in ("equivariant", "table"):
+        for left, right in ((far_x, y), (x, far_y)):
+            with pytest.raises(ValueError, match="pairing index out of range"):
+                compose(left, right, pairing=pairing)
+
+
+def _compose_reference(x: SparseVector, y: SparseVector, pairing: str) -> SparseVector:
+    """compose in Fraction arithmetic, one wedge sort and contraction per term pair."""
+    sx, sy = x.space, y.space
+    n = sx.n
+    if pairing == "equivariant":
+        pair = lambda d, l: equivariant_pair(n, d, l)
+    else:
+        pair = PairingTable(n).pair
+    sign0 = Fraction(-1 if sx.a % 2 else 1)
+    terms: dict[Monomial, Fraction] = {}
+    for mx, cx in x.terms.items():
+        products = []
+        for my, cy in y.terms.items():
+            contraction = Fraction(1)
+            for dual, leg in zip(mx.duals, my.legs):
+                contraction *= pair(dual, leg)
+                if not contraction:
+                    break
+            if not contraction:
+                continue
+            sorted_w = _sort_wedge(list(my.wedge) + list(mx.wedge))
+            if sorted_w is None:
+                continue
+            ssign, wedge = sorted_w
+            products.append((Monomial(wedge, my.duals, mx.legs), ssign * contraction * cy))
+        _add_into(terms, products, sign0 * cx)
+    return SparseVector(SpaceDescriptor(n, sx.k + sy.k, sy.a, sx.b), terms)
+
+
+def _random_vector(draw, s: SpaceDescriptor, denominators=(1,)) -> SparseVector:
     basis = monomials(s)
     picks = draw(
         st.lists(
-            st.tuples(st.integers(0, len(basis) - 1), st.integers(-2, 2)),
+            st.tuples(
+                st.integers(0, len(basis) - 1),
+                st.integers(-2, 2),
+                st.sampled_from(denominators),
+            ),
             min_size=1,
             max_size=3,
         )
     )
     terms: dict[Monomial, Fraction] = {}
-    for idx, c in picks:
+    for idx, c, d in picks:
         if c:
-            terms[basis[idx]] = terms.get(basis[idx], Fraction(0)) + c
+            terms[basis[idx]] = terms.get(basis[idx], Fraction(0)) + Fraction(c, d)
     return SparseVector.make(s, terms)
 
 
@@ -199,6 +246,39 @@ def composable_triples(draw):
     y = _random_vector(draw, SpaceDescriptor(n, draw(st.integers(0, 1)), a_y, a_x))
     z = _random_vector(draw, SpaceDescriptor(n, draw(st.integers(0, 1)), a_z, a_y))
     return x, y, z
+
+
+@st.composite
+def rational_composable_pairs(draw):
+    n = draw(st.integers(2, 3))
+    contractions = draw(st.integers(0, 2))
+    denominators = range(1, 7)
+    x_space = SpaceDescriptor(n, draw(st.integers(0, 2)), contractions, draw(st.integers(0, 1)))
+    y_space = SpaceDescriptor(n, draw(st.integers(0, 2)), draw(st.integers(0, 1)), contractions)
+    return _random_vector(draw, x_space, denominators), _random_vector(draw, y_space, denominators)
+
+
+@given(rational_composable_pairs(), st.sampled_from(["equivariant", "table"]))
+def test_compose_matches_the_fraction_reference(pair, pairing):
+    x, y = pair
+    assert compose(x, y, pairing=pairing) == _compose_reference(x, y, pairing)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_multi_leg_compositions_of_invariants_are_invariant(n):
+    # Two contracted legs: x in W(n; k, 2, b) after y in W(n; k', a, 2).
+    count = 0
+    for k, k2 in ((0, 0), (0, 1), (1, 0)):
+        for a in (0, 1):
+            for b in (0, 1):
+                xs = checked_basis(SpaceDescriptor(n, k, 2, b)).vectors
+                ys = checked_basis(SpaceDescriptor(n, k2, a, 2)).vectors
+                target = checked_basis(SpaceDescriptor(n, k + k2, a, b))
+                for x in xs:
+                    for y in ys:
+                        target.coordinates(compose(x, y))  # raises if not invariant
+                        count += 1
+    assert count == {2: 36, 3: 44}[n]
 
 
 @given(composable_triples())
