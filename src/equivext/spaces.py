@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import kernel_of_rows, rref_vectors
-from .patterns import _KERNEL_CACHE, _canonical, block_kernel
+from .patterns import _KERNEL_CACHE, _PATTERN_CACHE, _canonical, block_kernel
 from .symgroup import Permutation, generators
 
 Gen = tuple[str, int]  # ("u" | "v", index in 1..n)
@@ -130,21 +130,31 @@ def parse_monomial(text: str) -> Monomial:
     wedge: list[Gen] = []
     if head != "1":
         for item in head.split("^"):
-            letter, idx = item[0], int(item[1:])
+            letter, idx = item[:1], int(item[1:])
             if letter not in ("u", "v") or idx < 1:
                 raise ValueError(f"bad wedge factor {item!r}")
             wedge.append((letter, idx))
     duals = []
     legs = []
     for item in parts[1:]:
-        kind, idx = item[0], int(item[1:])
-        if kind == "d":
-            duals.append(idx)
-        elif kind == "e":
-            legs.append(idx)
-        else:
+        kind, idx = item[:1], int(item[1:])
+        if kind not in ("d", "e") or idx < 1:
             raise ValueError(f"bad leg {item!r}")
+        (duals if kind == "d" else legs).append(idx)
     return Monomial(tuple(wedge), tuple(duals), tuple(legs))
+
+
+def _check_basis_monomial(m: Monomial, s: SpaceDescriptor) -> None:
+    """Raise ``ValueError`` unless ``m`` is one of the basis monomials of ``s``."""
+    w = m.wedge
+    if (len(w), len(m.duals), len(m.legs)) != (s.k, s.a, s.b):
+        raise ValueError(f"{m.render()} has the wrong wedge length or leg counts for {s}")
+    if any(letter not in ("u", "v") for letter, _ in w) or any(
+        x >= y for x, y in zip(w, w[1:])
+    ):
+        raise ValueError(f"wedge of {m.render()} is not strictly increasing")
+    if not all(1 <= i <= s.n for i in (*(i for _, i in w), *m.duals, *m.legs)):
+        raise ValueError(f"{m.render()} has an index outside 1..{s.n}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +171,15 @@ class SparseVector:
 
     @classmethod
     def make(cls, space: SpaceDescriptor, terms) -> "SparseVector":
+        """Vector from (monomial, coefficient) pairs; zero coefficients are dropped.
+
+        Raises ``ValueError`` for a monomial that is not a basis monomial
+        of ``space``. The engine builds its vectors with the constructor,
+        which does not check.
+        """
         clean = {m: Fraction(c) for m, c in dict(terms).items() if c}
+        for m in clean:
+            _check_basis_monomial(m, space)
         return cls(space, clean)
 
     def is_zero(self) -> bool:
@@ -512,3 +530,4 @@ def clear_caches() -> None:
     _MONOMIAL_CACHE.clear()
     _INVARIANT_CACHE.clear()
     _KERNEL_CACHE.clear()
+    _PATTERN_CACHE.clear()

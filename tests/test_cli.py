@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -37,7 +41,8 @@ def test_verify_json_pass_and_exit_zero(capsys):
     }
 
 
-REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCES = ROOT / "perfbench" / "references.json"
 
 
 @pytest.mark.parametrize(
@@ -279,3 +284,54 @@ def test_printed_bases_are_checked_against_the_oracle(monkeypatch):
     monkeypatch.setattr(yoneda_mod, "invariant_dim", lambda s: 0 if s.k else 7)
     with pytest.raises(RuntimeError, match="oracle 7"):
         cli_mod._bases(2)
+
+
+def _python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=ROOT
+    )
+
+
+# Runs one command line, then writes the loaded module names to stderr.
+FOOTPRINT = textwrap.dedent(
+    """
+    import json, sys
+    from equivext.cli import main
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exit:
+        code = exit.code
+    sys.stderr.write(json.dumps([code, sorted(sys.modules)]))
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "argv, package",
+    [
+        (["--help"], set()),
+        (["invariants", "--n", "2", "--k", "1"], {"linalg", "patterns", "spaces", "symgroup"}),
+        (
+            ["verify", "--n-min", "2", "--n-max", "2"],
+            {"characters", "chase", "dimformulas", "linalg", "patterns", "spaces", "symgroup",
+             "yoneda"},
+        ),
+    ],
+)
+def test_each_command_loads_only_the_layers_it_runs(argv, package):
+    proc = _python("-c", FOOTPRINT, *argv)
+    code, modules = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0
+    loaded = {m.split(".", 1)[1] for m in modules if m.startswith("equivext.")}
+    assert loaded == {"cli"} | package
+    assert "concurrent.futures" not in modules
+
+
+def test_oracle_tables_script_lists_matching_rows():
+    proc = _python(str(ROOT / "scripts" / "oracle_tables.py"), "5")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line for line in proc.stdout.splitlines() if line.startswith("  ")]
+    assert len(rows) == 4 * 4  # four families for each n = 2..5
+    assert all(row.endswith("OK") for row in rows)

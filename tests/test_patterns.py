@@ -94,3 +94,12 @@ def test_every_table_family_at_n7_matches_the_closed_form():
         dims = [pattern_dim(SpaceDescriptor(7, k, a, b)) for k in range(15)]
         assert dims == list(formula_table(family, 7).dims), family
     assert time.perf_counter() - start < 20
+
+
+def test_pattern_lists_are_memoised_until_the_caches_are_cleared():
+    legs = 0b11 * patterns_mod._LEG  # two leg slots
+    first = patterns_mod._patterns(2, 1, legs, 3)
+    assert first and patterns_mod._patterns(2, 1, legs, 3) is first
+    clear_caches()
+    again = patterns_mod._patterns(2, 1, legs, 3)
+    assert again == first and again is not first

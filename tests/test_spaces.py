@@ -42,6 +42,40 @@ def test_monomial_render_and_parse_roundtrip():
     assert parse_monomial("1|e2") == Monomial((), (), (2,))
 
 
+@pytest.mark.parametrize("text", ["1|d0", "1|e0", "1|e-1", "u0", "u1|x1", "1|", "u1^", ""])
+def test_parse_rejects_malformed_factors_and_indices_below_one(text):
+    with pytest.raises(ValueError):
+        parse_monomial(text)
+
+
+@pytest.mark.parametrize(
+    "wedge, duals, legs, error",
+    [
+        ((("u", 1), ("v", 3)), (1,), (1,), "outside 1..2"),
+        ((("u", 0), ("v", 1)), (1,), (1,), "outside 1..2"),
+        ((("u", 1), ("v", 1)), (3,), (1,), "outside 1..2"),
+        ((("u", 1), ("v", 1)), (1,), (0,), "outside 1..2"),
+        ((("v", 1), ("u", 2)), (1,), (1,), "not strictly increasing"),
+        ((("u", 1), ("u", 1)), (1,), (1,), "not strictly increasing"),
+        ((("u", 1), ("w", 2)), (1,), (1,), "not strictly increasing"),
+        ((("u", 1),), (1,), (1,), "wedge length"),
+        ((("u", 1), ("v", 1)), (), (1,), "leg counts"),
+        ((("u", 1), ("v", 1)), (1, 2), (1,), "leg counts"),
+        ((("u", 1), ("v", 1)), (1,), (), "leg counts"),
+    ],
+)
+def test_make_rejects_monomials_outside_the_space(wedge, duals, legs, error):
+    s = SpaceDescriptor(2, 2, 1, 1)
+    with pytest.raises(ValueError, match=error):
+        SparseVector.make(s, {Monomial(wedge, duals, legs): 1})
+
+
+def test_make_accepts_every_basis_monomial():
+    s = SpaceDescriptor(2, 2, 1, 1)
+    x = SparseVector.make(s, {m: 1 for m in monomials(s)})
+    assert len(x.terms) == len(monomials(s))
+
+
 def test_act_identity_fixes_everything():
     x = vec(2, 1, 0, 1, {"u1|e2": 3, "v2|e1": -1})
     assert act(Permutation.identity(3), x) == x
