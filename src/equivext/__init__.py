@@ -8,7 +8,8 @@ the space of degree-1 self-extensions of the distinguished extension is
 
 The names below are loaded on first access (PEP 562), each from its
 home module, so importing the package or :mod:`equivext.cli` loads no
-engine layer until one is used.
+engine layer until one is used. Each home module is an attribute too
+(``equivext.spaces``), imported on first access.
 """
 
 import importlib
@@ -31,6 +32,8 @@ __all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
+    if name in _HOMES:
+        return importlib.import_module(f"{__name__}.{name}")
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

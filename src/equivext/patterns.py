@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
 
@@ -106,9 +107,7 @@ def _set_partitions(mask: int):
         sub = (sub - 1) & rest
 
 
-_PATTERN_CACHE: dict[tuple[int, int, int, int], tuple[tuple[int, ...], ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def _patterns(p: int, q: int, legs: int, most: int) -> tuple[tuple[int, ...], ...]:
     """Consistent patterns with p u-factors, q v-factors and the leg bits ``legs``.
 
@@ -117,10 +116,6 @@ def _patterns(p: int, q: int, legs: int, most: int) -> tuple[tuple[int, ...], ..
     factors, at most one u-only and one v-only. At most ``most`` types.
     Memoised on the arguments.
     """
-    key = (p, q, legs, most)
-    hit = _PATTERN_CACHE.get(key)
-    if hit is not None:
-        return hit
     out = []
     for blocks in _set_partitions(legs):
         for flags in product(range(4), repeat=len(blocks)):
@@ -132,8 +127,7 @@ def _patterns(p: int, q: int, legs: int, most: int) -> tuple[tuple[int, ...], ..
                 if both < 0 or both != rq - y or len(typed) + x + y + both > most:
                     continue
                 out.append(tuple(sorted(typed + [_U] * x + [_V] * y + [_U | _V] * both)))
-    result = _PATTERN_CACHE[key] = tuple(out)
-    return result
+    return tuple(out)
 
 
 def _representatives(p: int, q: int, legs: int, n: int, f: int):

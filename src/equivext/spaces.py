@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import kernel_of_rows, rref_vectors
-from .patterns import _KERNEL_CACHE, _PATTERN_CACHE, _canonical, block_kernel
+from .patterns import _KERNEL_CACHE, _canonical, _patterns, block_kernel
 from .symgroup import Permutation, generators
 
 Gen = tuple[str, int]  # ("u" | "v", index in 1..n)
@@ -530,4 +530,4 @@ def clear_caches() -> None:
     _MONOMIAL_CACHE.clear()
     _INVARIANT_CACHE.clear()
     _KERNEL_CACHE.clear()
-    _PATTERN_CACHE.clear()
+    _patterns.cache_clear()

@@ -1,6 +1,10 @@
 """The package namespace: every public name resolves lazily from its home module."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +38,20 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(equivext, "_ActionTable")
     with pytest.raises(ImportError):
         exec("from equivext import no_such_name", {})
+
+
+def test_home_modules_are_attributes_imported_on_first_access():
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys, equivext\n"
+        "assert 'equivext.chase' not in sys.modules\n"
+        "assert equivext.chase is sys.modules['equivext.chase']\n"
+        "assert equivext.spaces.invariant_basis is equivext.invariant_basis\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    for module in equivext._HOMES:
+        assert getattr(equivext, module) is importlib.import_module(f"equivext.{module}")
