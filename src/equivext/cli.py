@@ -24,22 +24,18 @@ Subcommands:
   single space.
 
 JSON reports are deterministic: two runs with the same configuration
-produce byte-identical output. The environment variable
-``EQUIVEXT_WORKERS`` overrides how many worker processes handle the
-per-n verification jobs; results are assembled in order of n either way.
+produce byte-identical output. ``verify`` runs the per-n jobs one after
+another in this process, in order of n.
 
 Engine layers load on first use: each function below imports what it
 runs, so ``--help`` and usage errors load no engine module and
 ``invariants`` loads only :mod:`equivext.spaces` and its dependencies.
-The process-pool machinery is imported only for a multi-n run with more
-than one worker.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -272,8 +268,7 @@ def _stage(n: int, name: str):
         raise RuntimeError(f"n={n}, stage {name}: {exc!r}") from exc
 
 
-def _verify_one(args: tuple[int, bool, bool, bool]) -> dict:
-    n, check_remark, swap_uv, print_bases = args
+def _verify_one(n: int, cfg: RunConfig) -> dict:
     result: dict = {"n": n}
     with _stage(n, "tables"):
         result["tables"], result["palindromes"] = _table_results(n)
@@ -282,10 +277,10 @@ def _verify_one(args: tuple[int, bool, bool, bool]) -> dict:
     with _stage(n, "coefficients"):
         result["coefficients"] = _coefficient_checks(n)
     with _stage(n, "ranks"):
-        result["ranks"] = _rank_checks(n, swap_uv, check_remark)
+        result["ranks"] = _rank_checks(n, cfg.swap_uv, cfg.check_remark)
     with _stage(n, "theorem"):
-        result["theorem"] = _theorem_result(n, check_remark, swap_uv)
-    if print_bases:
+        result["theorem"] = _theorem_result(n, cfg.check_remark, cfg.swap_uv)
+    if cfg.print_bases:
         with _stage(n, "bases"):
             result["bases"] = _bases(n)
 
@@ -325,24 +320,8 @@ def _oracle_extension(n_from: int, n_to: int) -> list[dict]:
 def run_verify(cfg: RunConfig) -> dict:
     from . import dimformulas
 
-    ns = list(range(cfg.n_min, cfg.n_max + 1))
-    jobs = [(n, cfg.check_remark, cfg.swap_uv, cfg.print_bases) for n in ns]
-    workers = int(os.environ.get("EQUIVEXT_WORKERS", "0")) or min(
-        len(jobs), os.cpu_count() or 1
-    )
-    if workers > 1 and len(jobs) > 1:
-        # The chase imports every engine layer. Loaded before the fork,
-        # the workers inherit it instead of each compiling it again; and
-        # loaded before the pool modules, the memory its compilation
-        # freed holds them (about 0.6 MB less peak in every process).
-        from . import chase  # noqa: F401
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_n = list(pool.map(_verify_one, jobs))
-    else:
-        per_n = [_verify_one(job) for job in jobs]
-    per_n.sort(key=lambda r: r["n"])
+    ns = range(cfg.n_min, cfg.n_max + 1)
+    per_n = [_verify_one(n, cfg) for n in ns]
 
     warnings = [
         {
@@ -576,7 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--dual", type=int, default=0, help="number of dual legs")
     p_inv.add_argument("--rho", type=int, default=0, help="number of plain legs")
     p_inv.add_argument("--print-bases", action="store_true")
-    p_inv.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    p_inv.add_argument("--format", choices=("text", "json"), default="text")
     p_inv.add_argument("--output", default=None)
     return parser
 

@@ -10,12 +10,19 @@ bit-identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 Rational = Fraction
 
 _ONE = Fraction(1)
+
+
+def integer_scaled(vec: dict) -> tuple[int, dict]:
+    """The lcm ``d`` of the denominators of ``vec``, and ``d * vec`` in ints."""
+    scale = math.lcm(*(c.denominator for c in vec.values()))
+    return scale, {key: c.numerator * (scale // c.denominator) for key, c in vec.items()}
 
 
 def as_rational(value) -> Fraction:

@@ -46,7 +46,7 @@ from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
 
-from .linalg import kernel_of_rows
+from .linalg import integer_scaled, kernel_of_rows
 from .symgroup import Permutation, full_cycle, transposition
 
 if TYPE_CHECKING:
@@ -228,8 +228,6 @@ def _rows(g: Permutation, p: int, q: int, legs: int, n: int, column_of: dict) ->
 
 Kernel = list[dict[tuple[int, ...], Fraction]]
 
-_KERNEL_CACHE: dict[tuple[int, int, int, int], Kernel] = {}
-
 
 def block_kernel(s: SpaceDescriptor, p: int, q: int) -> Kernel:
     """Invariants of the (p, q) block of ``s`` as combinations of orbit sums.
@@ -239,12 +237,13 @@ def block_kernel(s: SpaceDescriptor, p: int, q: int) -> Kernel:
     :func:`_canonical` gives that pattern and ``sign``. Every vector,
     scaled to integers, is checked against the rows of the cycle.
     """
-    key = (s.n, p, q, s.a + s.b)
-    hit = _KERNEL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n = s.n
-    legs = ((1 << (s.a + s.b)) - 1) * _LEG
+    return _kernel(s.n, p, q, s.a + s.b)
+
+
+@lru_cache(maxsize=None)
+def _kernel(n: int, p: int, q: int, slots: int) -> Kernel:
+    """:func:`block_kernel` of every space with n and ``slots`` = a + b leg slots."""
+    legs = ((1 << slots) - 1) * _LEG
     columns = _patterns(p, q, legs, n)
     column_of = {pattern: j for j, pattern in enumerate(columns)}
     tau = transposition(n + 1, n, n + 1)
@@ -254,13 +253,13 @@ def block_kernel(s: SpaceDescriptor, p: int, q: int) -> Kernel:
     if kernel:
         cycle_rows = _rows(full_cycle(n + 1), p, q, legs, n, column_of)
         for vec in kernel:
-            scale = math.lcm(*(c.denominator for c in vec.values()))
-            ints = {j: c.numerator * (scale // c.denominator) for j, c in vec.items()}
+            _, ints = integer_scaled(vec)
             if any(sum(c * ints.get(j, 0) for j, c in row.items()) for row in cycle_rows):
-                raise RuntimeError(f"pattern kernel vector not invariant in {s}")
-    result = [{columns[j]: c for j, c in vec.items()} for vec in kernel]
-    _KERNEL_CACHE[key] = result
-    return result
+                raise RuntimeError(
+                    f"pattern kernel vector not invariant for n={n}, "
+                    f"(p, q) = ({p}, {q}), a + b = {slots}"
+                )
+    return [{columns[j]: c for j, c in vec.items()} for vec in kernel]
 
 
 def pattern_dim(s: SpaceDescriptor) -> int:

@@ -41,9 +41,10 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .linalg import kernel_of_rows, rref_vectors
-from .patterns import _KERNEL_CACHE, _canonical, _patterns, block_kernel
+from .linalg import integer_scaled, kernel_of_rows, rref_vectors
+from .patterns import _canonical, _kernel, _patterns, block_kernel
 from .symgroup import Permutation, generators
 
 Gen = tuple[str, int]  # ("u" | "v", index in 1..n)
@@ -218,14 +219,9 @@ def _monomial_sort_key(m: Monomial):
     return (len(m.wedge), m.wedge, m.duals, m.legs)
 
 
-_MONOMIAL_CACHE: dict[SpaceDescriptor, tuple[Monomial, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def monomials(s: SpaceDescriptor) -> tuple[Monomial, ...]:
     """All basis monomials of W(n; k, a, b) in the fixed enumeration order."""
-    hit = _MONOMIAL_CACHE.get(s)
-    if hit is not None:
-        return hit
     gens = [(letter, i) for letter in "uv" for i in range(1, s.n + 1)]
     leg_range = range(1, s.n + 1)
     out = []
@@ -233,9 +229,7 @@ def monomials(s: SpaceDescriptor) -> tuple[Monomial, ...]:
         for duals in itertools.product(leg_range, repeat=s.a):
             for legs in itertools.product(leg_range, repeat=s.b):
                 out.append(Monomial(tuple(wedge), duals, legs))
-    result = tuple(out)
-    _MONOMIAL_CACHE[s] = result
-    return result
+    return tuple(out)
 
 
 def _expand_index(j: int, n: int) -> tuple[tuple[int, int], ...]:
@@ -425,8 +419,7 @@ class _ActionTable:
 
     def fixes(self, vec: dict[int, Fraction]) -> bool:
         """Whether the permutation maps ``vec`` to itself, checked in ints."""
-        scale = math.lcm(*(c.denominator for c in vec.values()))
-        ints = {i: c.numerator * (scale // c.denominator) for i, c in vec.items()}
+        _, ints = integer_scaled(vec)
         image: dict[int, int] = {}
         for i, c in ints.items():
             _add_into(image, self.row(i), c)
@@ -467,9 +460,7 @@ def _invariant_vectors_block(
     return vectors
 
 
-_INVARIANT_CACHE: dict[SpaceDescriptor, InvariantBasis] = {}
-
-
+@lru_cache(maxsize=None)
 def invariant_basis(s: SpaceDescriptor) -> InvariantBasis:
     """Basis of the subspace fixed by the whole group, in reduced echelon form.
 
@@ -485,9 +476,6 @@ def invariant_basis(s: SpaceDescriptor) -> InvariantBasis:
     monomial, form the same unique basis as the stacked reference
     :func:`invariant_basis_stacked`.
     """
-    hit = _INVARIANT_CACHE.get(s)
-    if hit is not None:
-        return hit
     monos = monomials(s)
     blocks: dict[tuple[int, int], list[int]] = {}
     for g, m in enumerate(monos):
@@ -500,9 +488,7 @@ def invariant_basis(s: SpaceDescriptor) -> InvariantBasis:
     found.sort(key=lambda item: item[0])
     vectors = tuple(SparseVector(s, terms) for _, terms in found)
     pivots = tuple(monos[g] for g, _ in found)
-    basis = InvariantBasis(s, vectors, pivots)
-    _INVARIANT_CACHE[s] = basis
-    return basis
+    return InvariantBasis(s, vectors, pivots)
 
 
 def invariant_basis_stacked(s: SpaceDescriptor, perms=None) -> InvariantBasis:
@@ -527,7 +513,5 @@ def invariant_basis_stacked(s: SpaceDescriptor, perms=None) -> InvariantBasis:
 
 
 def clear_caches() -> None:
-    _MONOMIAL_CACHE.clear()
-    _INVARIANT_CACHE.clear()
-    _KERNEL_CACHE.clear()
-    _patterns.cache_clear()
+    for cached in (monomials, invariant_basis, _kernel, _patterns):
+        cached.cache_clear()

@@ -38,12 +38,11 @@ Fraction(3, 1)
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import invariant_dim
-from .linalg import SparseMatrix, rank
+from .linalg import SparseMatrix, integer_scaled, rank
 from .spaces import (
     InvariantBasis,
     Monomial,
@@ -163,12 +162,11 @@ def build_class(name: str, n: int) -> DistinguishedClass:
     return DistinguishedClass(name, value, space)
 
 
-def _by_wedge(v: SparseVector, scale: int) -> dict[tuple, list[tuple[tuple, tuple, int]]]:
-    """The terms of ``v`` times ``scale``, as (duals, legs, int) grouped by wedge part."""
+def _by_wedge(terms: dict[Monomial, int]) -> dict[tuple, list[tuple[tuple, tuple, int]]]:
+    """The integer ``terms`` as (duals, legs, coefficient) grouped by wedge part."""
     groups: dict[tuple, list[tuple[tuple, tuple, int]]] = {}
-    for m, c in v.terms.items():
-        c_int = c.numerator * (scale // c.denominator)
-        groups.setdefault(m.wedge, []).append((m.duals, m.legs, c_int))
+    for m, c in terms.items():
+        groups.setdefault(m.wedge, []).append((m.duals, m.legs, c))
     return groups
 
 
@@ -204,9 +202,9 @@ def compose(x: SparseVector, y: SparseVector, pairing: str = "equivariant") -> S
     # Integer pairing values: the contraction of a term pair is ``scale**a`` times its pairing.
     indices = range(1, n + 2)
     values = {(d, l): int(pair(d, l)) for d in indices for l in indices}
-    dx = math.lcm(*(c.denominator for c in x.terms.values()))
-    dy = math.lcm(*(c.denominator for c in y.terms.values()))
-    x_groups, y_groups = _by_wedge(x, dx), _by_wedge(y, dy)
+    dx, x_ints = integer_scaled(x.terms)
+    dy, y_ints = integer_scaled(y.terms)
+    x_groups, y_groups = _by_wedge(x_ints), _by_wedge(y_ints)
     acc: dict[tuple, int] = {}
     for wy, y_terms in y_groups.items():
         for wx, x_terms in x_groups.items():

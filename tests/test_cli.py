@@ -8,12 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import equivext.spaces as spaces_mod
 from equivext.cli import RunConfig, cmd_invariants, cmd_table, main, run_verify
-
-
-@pytest.fixture(autouse=True)
-def serial_workers(monkeypatch):
-    monkeypatch.setenv("EQUIVEXT_WORKERS", "1")
 
 
 def run_cli(capsys, argv):
@@ -193,18 +189,26 @@ def test_invariants_command(capsys):
     assert out.splitlines()[0] == "dim 0"
 
 
+def test_invariants_rejects_csv(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["invariants", "--n", "2", "--k", "2", "--format", "csv"])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_invariants_untested_leg_note(capsys):
     code, out = run_cli(capsys, ["invariants", "--n", "2", "--k", "0", "--rho", "2"])
     assert code == 0
     assert "untested" in out
 
 
-def test_run_verify_with_worker_pool(monkeypatch):
-    monkeypatch.setenv("EQUIVEXT_WORKERS", "2")
-    cfg = RunConfig(n_min=2, n_max=3, format="json")
-    report = run_verify(cfg)
-    assert [r["n"] for r in report["per_n"]] == [2, 3]
+def test_run_verify_range_matches_single_n_runs():
+    # Every n of a range shares the process's caches; no n may see another's results.
+    report = run_verify(RunConfig(n_min=2, n_max=3, format="json"))
     assert report["verdict"] == "PASS"
+    spaces_mod.clear_caches()
+    alone = {n: run_verify(RunConfig(n_min=n, n_max=n, format="json"))["per_n"] for n in (3, 2)}
+    assert report["per_n"] == alone[2] + alone[3]
 
 
 def test_cmd_table_rejects_unknown_name():
@@ -264,7 +268,6 @@ def test_csv_summary_does_not_echo_swap_uv(capsys):
 
 def test_table_and_oracle_stages_enumerate_no_monomials(monkeypatch):
     import equivext.cli as cli_mod
-    import equivext.spaces as spaces_mod
 
     def boom(s):
         raise AssertionError(f"monomials({s}) called")
@@ -315,6 +318,11 @@ FOOTPRINT = textwrap.dedent(
         (["invariants", "--n", "2", "--k", "1"], {"linalg", "patterns", "spaces", "symgroup"}),
         (
             ["verify", "--n-min", "2", "--n-max", "2"],
+            {"characters", "chase", "dimformulas", "linalg", "patterns", "spaces", "symgroup",
+             "yoneda"},
+        ),
+        (
+            ["verify", "--n-min", "2", "--n-max", "3"],
             {"characters", "chase", "dimformulas", "linalg", "patterns", "spaces", "symgroup",
              "yoneda"},
         ),

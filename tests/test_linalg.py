@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from equivext.linalg import (
     SparseMatrix,
     as_rational,
+    integer_scaled,
     kernel_of_rows,
     nullspace_basis,
     rank,
@@ -144,3 +145,11 @@ def test_kernel_vectors_are_killed_by_the_matrix(data):
     for vec in kernel_of_rows(rows, m.cols):
         for row in rows:
             assert sum(row.get(c, 0) * v for c, v in vec.items()) == 0
+
+
+def test_integer_scaled_clears_denominators_by_their_lcm():
+    assert integer_scaled({0: Fraction(1, 2), 3: Fraction(-2, 3), 5: Fraction(4)}) == (
+        6,
+        {0: 3, 3: -4, 5: 24},
+    )
+    assert integer_scaled({}) == (1, {})

@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -83,7 +84,7 @@ def test_flipped_tau_coefficient_fails_the_cycle_check(monkeypatch):
         return out
 
     monkeypatch.setattr(patterns_mod, "_rows", flipped)
-    named = r"not invariant in SpaceDescriptor\(n=3, k=1, a=0, b=1\)"
+    named = re.escape("not invariant for n=3, (p, q) = (1, 0), a + b = 1")
     with pytest.raises(RuntimeError, match=named):
         pattern_dim(SpaceDescriptor(3, 1, 0, 1))
 
