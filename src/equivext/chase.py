@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .dimformulas import ext_G_G, ext_G_OP, h_G, h_OP
 from .spaces import SpaceDescriptor
-from .yoneda import build_class, map_on_invariants
+from .yoneda import build_class, map_rank
 
 
 @dataclass
@@ -223,13 +223,13 @@ def verify_theorem(n: int, check_remark: bool = False, swap_uv: bool = False) ->
     even_range = range(n) if check_remark else range(2)
     push_ranks: dict[int, int] = {}
     for i in even_range:
-        m = map_on_invariants(theta, "push", SpaceDescriptor(n, 2 * i, 0, 0))
-        push_ranks[2 * i] = m.rank
+        push_rank = map_rank(theta, "push", SpaceDescriptor(n, 2 * i, 0, 0))
+        push_ranks[2 * i] = push_rank
         record(
             f"push-even-{2 * i}",
             f"composition with theta is injective on the degree-{2 * i} line",
-            m.rank,
-            m.rank == 1,
+            push_rank,
+            push_rank == 1,
         )
 
     degrees = 2 * n + 1 if check_remark else 4
@@ -267,12 +267,12 @@ def verify_theorem(n: int, check_remark: bool = False, swap_uv: bool = False) ->
         alpha2_rank == h_G(n)[2],
     )
 
-    m_ext1 = map_on_invariants(theta, "push", SpaceDescriptor(n, 1, 1, 0))
+    ext1_rank = map_rank(theta, "push", SpaceDescriptor(n, 1, 1, 0))
     record(
         "push-ext1",
         "composition with theta is injective on the 2-dimensional dual-leg line",
-        m_ext1.rank,
-        m_ext1.rank == 2,
+        ext1_rank,
+        ext1_rank == 2,
     )
 
     egg = ext_G_G(n).dims
@@ -287,7 +287,7 @@ def verify_theorem(n: int, check_remark: bool = False, swap_uv: bool = False) ->
                 Node("ext1(G,M)", None),
                 Node("ext1(G,OP)", egop[1]),
             ],
-            ranks=[0, None, None, None, None, None, m_ext1.rank],
+            ranks=[0, None, None, None, None, None, ext1_rank],
         )
     )
     record(
@@ -311,12 +311,12 @@ def verify_theorem(n: int, check_remark: bool = False, swap_uv: bool = False) ->
         alpha1_rank == egg[1] == bottom.dim_of("ext1(G,M)"),
     )
 
-    m_pull = map_on_invariants(theta, "pull", SpaceDescriptor(n, 1, 1, 1))
+    pull_rank = map_rank(theta, "pull", SpaceDescriptor(n, 1, 1, 1))
     record(
         "pull-nonzero",
         "precomposition with theta is nonzero on ext1(G,G)",
-        m_pull.rank,
-        m_pull.rank >= 1,
+        pull_rank,
+        pull_rank >= 1,
     )
 
     # Square transfer: precomposition with theta commutes with the
@@ -324,7 +324,7 @@ def verify_theorem(n: int, check_remark: bool = False, swap_uv: bool = False) ->
     # ext1(G,-) and injective on the degree-2 graded piece, so the rank
     # of precomposition on ext1(G,M) equals the rank computed above.
     h2_M = h_M[2]
-    pull_rank_on_GM = m_pull.rank
+    pull_rank_on_GM = pull_rank
     record(
         "square-transfer",
         "precomposition with theta on ext1(G,M) is surjective with 1-dim kernel",

@@ -7,9 +7,12 @@ Subcommands:
   the coefficient and rank batteries, replay the full dimension chase,
   and emit a PASS/FAIL report (text, csv, or json). The raw dimensions
   of the tables and oracle stages come from :func:`patterns.pattern_dim`,
-  which never lists monomials; the rank battery, the chase and
-  ``--print-bases`` use materialised invariant bases, and the dimension
-  of each is checked against the character oracle where it is used.
+  which never lists monomials. The ranks of the battery and the chase
+  come from :func:`yoneda.map_rank`: materialised bases of the source
+  spaces only, images read in the target's orbit-sum coordinates, each
+  map computed once and shared by both stages. ``--print-bases`` uses
+  materialised bases. Every invariant dimension used is checked against
+  the character oracle.
   Exit code 0 on PASS, 1 on FAIL, 2 on usage or internal error; an
   internal error names the n and the stage (tables, oracle,
   coefficients, ranks, theorem or bases) where it happened. Warnings
@@ -126,7 +129,7 @@ def _coefficient_checks(n: int) -> list[dict]:
 
 def _rank_checks(n: int, swap_uv: bool, check_remark: bool) -> list[dict]:
     from .spaces import SpaceDescriptor
-    from .yoneda import DistinguishedClass, build_class, map_on_invariants, theta_of
+    from .yoneda import DistinguishedClass, build_class, map_rank, theta_of
 
     theta = build_class("theta(u)" if swap_uv else "theta(v)", n)
     zero = DistinguishedClass("theta(0)", theta_of(n, 0, 0), theta.space)
@@ -151,7 +154,7 @@ def _rank_checks(n: int, swap_uv: bool, check_remark: bool) -> list[dict]:
             )
     out = []
     for check_id, cls, side, source, expected, ok in cases:
-        got = map_on_invariants(cls, side, source).rank
+        got = map_rank(cls, side, source)
         out.append(
             {
                 "id": check_id,
@@ -561,9 +564,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write ``text`` to ``output``, or to stdout; an unwritable path is a usage error."""
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -29,9 +29,11 @@ zero by the rows of the (n+1)-cycle, else the computation raises.
 
 Dual and plain legs are acted on alike, so a block's kernel depends on
 (n, p, q, a + b) only and is memoised on that key. The kernel is the one
-source of invariants: :func:`pattern_dim` counts it, and
+source of invariants: :func:`pattern_dim` counts it,
 :func:`equivext.spaces.invariant_basis` expands it to monomials and
-checks the result on its integer action tables.
+checks the result on its integer action tables, and
+:func:`invariant_pattern_vector` reads a vector of monomials back in
+orbit-sum coordinates, checking that it is an invariant.
 
 >>> from equivext.spaces import SpaceDescriptor
 >>> [pattern_dim(SpaceDescriptor(n=4, k=k, a=1, b=1)) for k in range(9)]
@@ -41,6 +43,7 @@ checks the result on its integer action tables.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -260,6 +263,68 @@ def _kernel(n: int, p: int, q: int, slots: int) -> Kernel:
                     f"(p, q) = ({p}, {q}), a + b = {slots}"
                 )
     return [{columns[j]: c for j, c in vec.items()} for vec in kernel]
+
+
+def _orbit_size(pattern: tuple[int, ...], n: int) -> int:
+    """Number of monomials in the orbit of a consistent pattern: n!/((n-t)! m!).
+
+    t is the number of types and m the number of leg-free types carrying
+    both a u- and a v-factor, the only types that can repeat.
+    """
+    return math.perm(n, len(pattern)) // math.factorial(pattern.count(_U | _V))
+
+
+def invariant_pattern_vector(s: SpaceDescriptor, terms: dict) -> dict[tuple, int]:
+    """An invariant of ``s`` in orbit-sum coordinates, checked, in integers.
+
+    ``terms`` maps monomials of ``s`` to rationals; it is scaled to
+    integers by the lcm of its denominators. Returns the coefficient of
+    each orbit sum, keyed by (number of u-factors, pattern). Raises
+    ``ValueError`` unless ``terms`` is fixed by the whole group:
+
+    * every monomial's pattern is consistent, and its coefficient times
+      its :func:`_canonical` sign is the same on the whole pattern;
+    * each pattern has its full orbit of monomials, so ``terms`` is
+      exactly a combination of orbit sums, that is S_n-invariant;
+    * each block's combination reduces to zero against the block's
+      pattern kernel, whose vectors are reduced with pivots in
+      :func:`_patterns` column order, so it lies in the invariants.
+
+    >>> from equivext.spaces import SpaceDescriptor, invariant_basis
+    >>> s = SpaceDescriptor(n=2, k=2, a=0, b=0)
+    >>> omega = invariant_basis(s).vectors[0]
+    >>> omega.render()
+    'u1^v1 + 1/2*u1^v2 + 1/2*u2^v1 + u2^v2'
+    >>> invariant_pattern_vector(s, omega.terms)  # types: 1 = v only, 2 = u only, 3 = both
+    {(1, (1, 2)): 1, (1, (3,)): 2}
+    """
+    n, legs = s.n, ((1 << (s.a + s.b)) - 1) * _LEG
+    _, ints = integer_scaled(terms)
+    blocks: dict[int, dict[tuple[int, ...], int]] = {}  # p -> pattern -> coefficient
+    count: Counter = Counter()
+    for m, c in ints.items():
+        us = [i for letter, i in m.wedge if letter == "u"]
+        vs = [i for letter, i in m.wedge if letter == "v"]
+        pattern, sign = _canonical(us, vs, m.duals + m.legs, n)
+        if blocks.setdefault(len(us), {}).setdefault(pattern, c * sign) != c * sign:
+            raise ValueError(f"coefficients vary on an orbit of {s}")
+        count[len(us), pattern] += 1
+    for p, coeffs in blocks.items():
+        order = {pattern: j for j, pattern in enumerate(_patterns(p, s.k - p, legs, n))}
+        for pattern in coeffs:
+            if pattern not in order:
+                raise ValueError(f"nonzero coefficient on an inconsistent orbit of {s}")
+            if count[p, pattern] != _orbit_size(pattern, n):
+                raise ValueError(f"incomplete orbit in {s}")
+        residue = dict(coeffs)
+        for vec in block_kernel(s, p, s.k - p):
+            coord = residue.get(min(vec, key=order.__getitem__))
+            if coord:
+                for pattern, c in vec.items():
+                    residue[pattern] = residue.get(pattern, 0) - coord * c
+        if any(residue.values()):
+            raise ValueError(f"orbit combination outside the invariants of {s}")
+    return {(p, pattern): c for p, coeffs in blocks.items() for pattern, c in coeffs.items()}
 
 
 def pattern_dim(s: SpaceDescriptor) -> int:

@@ -25,9 +25,12 @@ the n x n index table j -> sigma(j) taken over every leg slot. Reduced
 echelon bases are unique, so the output is reproducible bit for bit no
 matter how the kernel was obtained.
 
-This module materialises invariant vectors, which composition, ranks
-and printed bases need. Callers that need only a dimension use
-:func:`equivext.patterns.pattern_dim`, which never lists monomials.
+This module materialises invariant vectors, which composition, the
+sources of the rank battery, ``invariants`` and printed bases need.
+Callers that need only a dimension use
+:func:`equivext.patterns.pattern_dim`, and the rank battery reads its
+images with :func:`equivext.patterns.invariant_pattern_vector`; neither
+lists the monomials of a target space.
 
 >>> s = SpaceDescriptor(n=2, k=2, a=0, b=0)
 >>> len(invariant_basis(s).vectors)
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import integer_scaled, kernel_of_rows, rref_vectors
+from .linalg import integer_scaled, rref_vectors
 from .patterns import _canonical, _kernel, _patterns, block_kernel
 from .symgroup import Permutation, generators
 
@@ -333,24 +336,6 @@ def _wedge_letter_counts(m: Monomial) -> tuple[int, int]:
     return p, len(m.wedge) - p
 
 
-def _kernel_vectors_stacked(
-    monos: tuple[Monomial, ...], perms, n: int
-) -> list[dict[int, Fraction]]:
-    """Common kernel of the stacked (M_sigma - I) over the given monomials.
-
-    Built from :func:`act_monomial` per monomial, not from the action tables.
-    """
-    index_of = {m: i for i, m in enumerate(monos)}
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for g, sigma in enumerate(perms):
-        for col, m in enumerate(monos):
-            image = _add_into(act_monomial(sigma, m, n), [(m, -_ONE)])
-            for target, coeff in image.items():
-                rows.setdefault((g, index_of[target]), {})[col] = coeff
-    row_list = [rows[key] for key in sorted(rows)]
-    return kernel_of_rows(row_list, len(monos))
-
-
 class _ActionTable:
     """Images of the monomials of one block under one permutation, in ints.
 
@@ -473,8 +458,9 @@ def invariant_basis(s: SpaceDescriptor) -> InvariantBasis:
     the block is tabulated as the Kronecker product of the action on the
     block's wedges and on the leg indices (:class:`_ActionTable`). The
     blocks have disjoint supports, so their bases, ordered by leading
-    monomial, form the same unique basis as the stacked reference
-    :func:`invariant_basis_stacked`.
+    monomial, form the same unique basis as the stacked kernel of
+    (M_sigma - I) over the whole space, the reference the tests compare
+    it with.
     """
     monos = monomials(s)
     blocks: dict[tuple[int, int], list[int]] = {}
@@ -489,27 +475,6 @@ def invariant_basis(s: SpaceDescriptor) -> InvariantBasis:
     vectors = tuple(SparseVector(s, terms) for _, terms in found)
     pivots = tuple(monos[g] for g, _ in found)
     return InvariantBasis(s, vectors, pivots)
-
-
-def invariant_basis_stacked(s: SpaceDescriptor, perms=None) -> InvariantBasis:
-    """Reference computation from the full stacked matrix.
-
-    Each column is built with :func:`act_monomial`, one monomial at a
-    time, so this reference shares neither the Kronecker action tables
-    nor the blocks of :func:`invariant_basis` that tests compare it with.
-    ``perms`` defaults to the two generators; passing all group elements
-    gives the brute-force fixed space used as a cross-check for small n.
-    """
-    monos = monomials(s)
-    if perms is None:
-        perms = generators(s.n)
-    kernel = _kernel_vectors_stacked(monos, perms, s.n)
-    vectors = []
-    pivots = []
-    for vec in kernel:
-        vectors.append(SparseVector(s, {monos[i]: c for i, c in vec.items()}))
-        pivots.append(monos[min(vec)])
-    return InvariantBasis(s, tuple(vectors), tuple(pivots))
 
 
 def clear_caches() -> None:

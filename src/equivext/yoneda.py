@@ -40,9 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .characters import invariant_dim
-from .linalg import SparseMatrix, integer_scaled, rank
+from .linalg import SparseMatrix, integer_scaled, rank, rank_of_rows
+from .patterns import invariant_pattern_vector, pattern_dim
 from .spaces import (
     InvariantBasis,
     Monomial,
@@ -250,27 +252,32 @@ class MapOnInvariants:
     rank: int
 
 
+def _map_target(c_space: SpaceDescriptor, side: str, source: SpaceDescriptor) -> SpaceDescriptor:
+    """Space that composing with a class in ``c_space`` on ``side`` maps ``source`` to."""
+    if side not in ("push", "pull"):
+        raise ValueError("side must be 'push' or 'pull'")
+    if side == "push":
+        if c_space.a != source.b:
+            raise ValueError("incompatible legs for push")
+        return SpaceDescriptor(source.n, c_space.k + source.k, source.a, c_space.b)
+    if source.a != c_space.b:
+        raise ValueError("incompatible legs for pull")
+    return SpaceDescriptor(source.n, c_space.k + source.k, c_space.a, source.b)
+
+
 def map_on_invariants(
     c: DistinguishedClass, side: str, source: SpaceDescriptor
 ) -> MapOnInvariants:
     """Matrix and rank of composing with ``c`` on the invariant subspace.
 
     ``side`` is "push" for x -> compose(c, x) or "pull" for
-    x -> compose(x, c). Every image is expanded exactly in the target
-    invariant basis; a nonzero residue would mean the image left the
-    invariant subspace, which equivariance of the product rules out.
+    x -> compose(x, c). Every image is expanded exactly in the
+    materialised target invariant basis; a nonzero residue would mean
+    the image left the invariant subspace, which equivariance of the
+    product rules out. This is the reference that :func:`map_rank`,
+    which builds no target basis, is tested against.
     """
-    if side not in ("push", "pull"):
-        raise ValueError("side must be 'push' or 'pull'")
-    n = source.n
-    if side == "push":
-        if c.space.a != source.b:
-            raise ValueError("incompatible legs for push")
-        target_desc = SpaceDescriptor(n, c.space.k + source.k, source.a, c.space.b)
-    else:
-        if source.a != c.space.b:
-            raise ValueError("incompatible legs for pull")
-        target_desc = SpaceDescriptor(n, c.space.k + source.k, c.space.a, source.b)
+    target_desc = _map_target(c.space, side, source)
     src = checked_basis(source)
     tgt = checked_basis(target_desc)
     entries: dict[tuple[int, int], Fraction] = {}
@@ -281,3 +288,38 @@ def map_on_invariants(
                 entries[(i, j)] = coord
     matrix = SparseMatrix(tgt.dim, src.dim, entries)
     return MapOnInvariants(src, tgt, matrix, rank(matrix))
+
+
+def map_rank(c: DistinguishedClass, side: str, source: SpaceDescriptor) -> int:
+    """Rank of composing with ``c`` on the invariants of ``source``.
+
+    The same rank as ``map_on_invariants(c, side, source).rank``, with
+    no target basis: each image of a :func:`checked_basis` vector of
+    ``source`` is read in the target's orbit-sum coordinates by
+    :func:`equivext.patterns.invariant_pattern_vector`, which raises
+    unless the image is invariant, and the rank is that of those
+    coordinate vectors. The target's invariant dimension is checked
+    against the character oracle. Memoised on the class's value (not
+    its name), ``side`` and ``source``.
+    """
+    return _map_rank(c.space, frozenset(c.value.terms.items()), side, source)
+
+
+@lru_cache(maxsize=None)
+def _map_rank(
+    c_space: SpaceDescriptor, terms: frozenset, side: str, source: SpaceDescriptor
+) -> int:
+    target = _map_target(c_space, side, source)
+    dim, expected = pattern_dim(target), invariant_dim(target)
+    if dim != expected:
+        raise RuntimeError(
+            f"invariant subspace of {target} has dimension {dim}, oracle {expected}"
+        )
+    value = SparseVector(c_space, dict(terms))
+    columns: dict[tuple, int] = {}
+    rows = []
+    for vec in checked_basis(source).vectors:
+        image = compose(value, vec) if side == "push" else compose(vec, value)
+        coords = invariant_pattern_vector(target, image.terms)
+        rows.append({columns.setdefault(key, len(columns)): c for key, c in coords.items()})
+    return rank_of_rows(rows, len(columns))

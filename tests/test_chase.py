@@ -136,13 +136,10 @@ def test_theorem_replay_with_swapped_directions():
 def test_failing_step_aborts_with_its_id(monkeypatch):
     import equivext.chase as chase_mod
 
-    class FakeMap:
-        rank = 0
+    def fake_rank(cls, side, source):
+        return 0
 
-    def fake_map(cls, side, source):
-        return FakeMap()
-
-    monkeypatch.setattr(chase_mod, "map_on_invariants", fake_map)
+    monkeypatch.setattr(chase_mod, "map_rank", fake_rank)
     with pytest.raises(TheoremFailure) as err:
         verify_theorem(2)
     assert err.value.step.step_id == "push-even-0"

@@ -280,6 +280,55 @@ def test_table_and_oracle_stages_enumerate_no_monomials(monkeypatch):
     assert cli_mod._oracle_results(5) == {"descriptors": 44, "all_match": True}
 
 
+def test_rank_stage_materialises_only_source_bases(monkeypatch):
+    import equivext.cli as cli_mod
+    import equivext.yoneda as yoneda_mod
+    from equivext.spaces import SpaceDescriptor
+
+    listed = set()
+    monomials = spaces_mod.monomials
+
+    def recording(s):
+        listed.add(s)
+        return monomials(s)
+
+    spaces_mod.clear_caches()
+    yoneda_mod._map_rank.cache_clear()
+    monkeypatch.setattr(spaces_mod, "monomials", recording)
+    checks = cli_mod._rank_checks(5, False, True)
+    assert [c["status"] for c in checks] == ["PASS"] * 8
+    sources = {(0, 0, 0), (2, 0, 0), (1, 1, 0), (1, 1, 1), (4, 0, 0), (6, 0, 0), (8, 0, 0)}
+    assert listed == {SpaceDescriptor(5, k, a, b) for k, a, b in sources}
+
+
+N7_REPORT_SHA256 = "5f806ce5233c1d7eadc9654f5d2136dd2137c40c4408577df2f68c431d5e33a0"
+
+
+def test_verify_n7_report_bytes_are_pinned(capsys):
+    argv = "verify --n-min 7 --n-max 7 --oracle-n-max 7 --check-remark --format json".split()
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == N7_REPORT_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n-min", "2", "--n-max", "2"],
+        ["table", "h_G", "--n", "2"],
+        ["invariants", "--n", "2", "--k", "2"],
+    ],
+)
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "report"
+    code = main([*argv, "--output", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert not path.exists()
+
+
 def test_printed_bases_are_checked_against_the_oracle(monkeypatch):
     import equivext.cli as cli_mod
     import equivext.yoneda as yoneda_mod

@@ -14,13 +14,14 @@ from equivext.spaces import (
     act_monomial,
     clear_caches,
     invariant_basis,
-    invariant_basis_stacked,
     monomials,
     parse_monomial,
     space_dim,
     unit_vector,
 )
 from equivext.symgroup import Permutation, all_elements, full_cycle, generators, transposition
+
+from stacked_reference import invariant_basis_stacked
 
 
 def vec(n, k, a, b, text_terms):

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import equivext.yoneda as yoneda_mod
+from equivext.patterns import invariant_pattern_vector
 from equivext.spaces import (
     Monomial,
     SpaceDescriptor,
@@ -25,6 +27,7 @@ from equivext.yoneda import (
     compose,
     equivariant_pair,
     map_on_invariants,
+    map_rank,
     theta_of,
 )
 
@@ -399,3 +402,108 @@ def test_returned_coefficients_are_fractions(n):
     for x in vectors:
         assert all(type(c) is Fraction for c in x.terms.values()), x.render()
 
+
+
+def _battery_maps(n):
+    """(side, source) of every map the rank battery and the chase run, remark maps included."""
+    maps = [
+        ("push", SpaceDescriptor(n, 0, 0, 0)),
+        ("push", SpaceDescriptor(n, 2, 0, 0)),
+        ("push", SpaceDescriptor(n, 1, 1, 0)),
+        ("pull", SpaceDescriptor(n, 1, 1, 1)),
+    ]
+    return maps + [("push", SpaceDescriptor(n, 2 * i, 0, 0)) for i in range(2, n)]
+
+
+def _battery_classes(n):
+    theta = build_class("theta(v)", n)
+    zero = DistinguishedClass("theta(0)", theta_of(n, 0, 0), theta.space)
+    return [theta, build_class("theta(u)", n), zero]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_map_rank_equals_the_materialised_reference_on_the_battery(n):
+    for cls in _battery_classes(n):
+        for side, source in _battery_maps(n):
+            assert map_rank(cls, side, source) == map_on_invariants(cls, side, source).rank
+
+
+@st.composite
+def class_maps(draw):
+    n = draw(st.integers(2, 4))
+    cls = build_class(draw(st.sampled_from(CLASS_NAMES)), n)
+    scale = draw(st.sampled_from([Fraction(1), Fraction(-2, 3)]))
+    cls = DistinguishedClass(cls.name, cls.value.scaled(scale), cls.space)
+    side = draw(st.sampled_from(["push", "pull"]))
+    free = draw(st.integers(0, 1))
+    k = draw(st.integers(0, 2 * n - cls.space.k))
+    if side == "push":
+        source = SpaceDescriptor(n, k, free, cls.space.a)
+    else:
+        source = SpaceDescriptor(n, k, cls.space.b, free)
+    return cls, side, source
+
+
+@given(class_maps())
+def test_map_rank_equals_the_materialised_reference_on_a_sample(case):
+    cls, side, source = case
+    assert map_rank(cls, side, source) == map_on_invariants(cls, side, source).rank
+
+
+def _image(n=3):
+    # theta after the degree-2 invariant: 18 monomials in W(3; 3, 0, 1), orbits of 6.
+    vec = checked_basis(SpaceDescriptor(n, 2, 0, 0)).vectors[0]
+    return compose(build_class("theta(v)", n).value, vec)
+
+
+def test_pattern_reading_rejects_a_perturbed_coefficient():
+    image = _image()
+    terms = dict(image.terms)
+    first = image.sorted_terms()[0][0]
+    terms[first] += 1
+    with pytest.raises(ValueError, match="vary on an orbit"):
+        invariant_pattern_vector(image.space, terms)
+
+
+def test_pattern_reading_rejects_a_dropped_monomial():
+    image = _image()
+    terms = dict(image.terms)
+    del terms[image.sorted_terms()[0][0]]
+    with pytest.raises(ValueError, match="incomplete orbit"):
+        invariant_pattern_vector(image.space, terms)
+
+
+def test_pattern_reading_rejects_an_inconsistent_orbit():
+    # u1^u2 has two leg-free u-only indices: its signed orbit sum is zero.
+    s = SpaceDescriptor(2, 2, 0, 0)
+    with pytest.raises(ValueError, match="inconsistent orbit"):
+        invariant_pattern_vector(s, {parse_monomial("u1^u2"): Fraction(1)})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pattern_reading_rejects_a_table_contraction(n):
+    # S_n-invariant, so it passes the orbit checks, but not fixed by (n n+1).
+    image = compose(build_class("xi", n).value, build_class("theta(v)", n).value, pairing="table")
+    with pytest.raises(ValueError, match="outside the invariants"):
+        invariant_pattern_vector(image.space, image.terms)
+
+
+@pytest.mark.parametrize("wrong", ["source", "target"])
+def test_map_rank_checks_both_spaces_against_the_oracle(monkeypatch, wrong):
+    theta = build_class("theta(v)", 2)
+    source = SpaceDescriptor(2, 1, 1, 0)
+    bad = source if wrong == "source" else SpaceDescriptor(2, 2, 1, 1)
+    oracle = yoneda_mod.invariant_dim
+    yoneda_mod._map_rank.cache_clear()
+    monkeypatch.setattr(yoneda_mod, "invariant_dim", lambda s: oracle(s) + (s == bad))
+    with pytest.raises(RuntimeError, match="has dimension"):
+        map_rank(theta, "push", source)
+
+
+def test_map_rank_memo_keys_on_the_value_not_the_name():
+    theta = build_class("theta(v)", 3)
+    impostor = DistinguishedClass(theta.name, theta_of(3, 0, 0), theta.space)
+    source = SpaceDescriptor(3, 0, 0, 0)
+    assert map_rank(theta, "push", source) == 1
+    assert map_rank(impostor, "push", source) == 0
+    assert map_rank(theta, "push", source) == 1
