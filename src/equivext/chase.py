@@ -181,12 +181,9 @@ def _interleaved_row(
     return nodes
 
 
-def top_row_problem(n: int, push_ranks: dict[int, int], degrees: int | None = None) -> ChaseProblem:
+def top_row_problem(n: int, push_ranks: dict[int, int], degrees: int) -> ChaseProblem:
     """The long exact sequence linking the graded pieces of the extension
     to those of its two ends, with the connecting ranks supplied."""
-    top = 2 * n
-    if degrees is None:
-        degrees = top + 1
     hg = h_G(n).dims + (0,) * 4
     hop = h_OP(n).dims + (0,) * 4
     nodes = _interleaved_row(list(hg), "middle", list(hop), degrees)
@@ -195,7 +192,7 @@ def top_row_problem(n: int, push_ranks: dict[int, int], degrees: int | None = No
         ranks.append(None)  # first -> middle
         ranks.append(None)  # middle -> last
         ranks.append(push_ranks.get(d))  # connecting map of degree d
-    if degrees == top + 1:
+    if degrees == 2 * n + 1:
         ranks[-1] = 0
     return ChaseProblem(nodes, ranks)
 

@@ -41,7 +41,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -77,6 +77,9 @@ class RunConfig:
 
 
 def _raw_table(family: str, n: int) -> list[int]:
+    """Pattern dimensions of one family in degrees 0..2n; d is ext_G_OP + ext_G_G."""
+    if family == "d":
+        return [x + y for x, y in zip(_raw_table("ext_G_OP", n), _raw_table("ext_G_G", n))]
     from . import dimformulas
     from .patterns import pattern_dim
     from .spaces import SpaceDescriptor
@@ -186,22 +189,10 @@ def _table_results(n: int) -> tuple[dict[str, dict], bool]:
     from . import dimformulas
 
     tables: dict[str, dict] = {}
-    raw: dict[str, list[int]] = {}
-    for family in TABLE_ORDER:
-        formula = dimformulas.formula_table(family, n)
-        raw[family] = _raw_table(family, n)
-        tables[family] = {
-            "formula": list(formula.dims),
-            "raw": raw[family],
-            "match": list(formula.dims) == raw[family],
-        }
-    d_formula = dimformulas.d_vector(n)
-    d_raw = [x + y for x, y in zip(raw["ext_G_OP"], raw["ext_G_G"])]
-    tables["d"] = {
-        "formula": list(d_formula.dims),
-        "raw": d_raw,
-        "match": list(d_formula.dims) == d_raw,
-    }
+    for family in TABLE_ORDER + ("d",):
+        formula = list(dimformulas.formula_table(family, n).dims)
+        raw = _raw_table(family, n)
+        tables[family] = {"formula": formula, "raw": raw, "match": formula == raw}
     palindromes = all(dimformulas.formula_table(f, n).is_palindrome() for f in TABLE_ORDER)
     return tables, palindromes
 
@@ -477,13 +468,7 @@ def cmd_table(which: str, n: int, fmt: str) -> str:
     if which not in TABLE_ORDER + ("d",):
         raise ValueError(f"unknown table {which!r}")
     formula = dimformulas.formula_table(which, n)
-    if which == "d":
-        raw = [
-            x + y
-            for x, y in zip(_raw_table("ext_G_OP", n), _raw_table("ext_G_G", n))
-        ]
-    else:
-        raw = _raw_table(which, n)
+    raw = _raw_table(which, n)
     match = list(formula.dims) == raw
     if fmt == "json":
         payload = {
@@ -537,10 +522,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the full verification battery")
-    p_verify.add_argument("--n-min", type=int, default=2)
-    p_verify.add_argument("--n-max", type=int, default=4)
-    p_verify.add_argument("--oracle-n-max", type=int, default=8)
-    p_verify.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    p_verify.add_argument("--n-min", type=int, default=RunConfig.n_min)
+    p_verify.add_argument("--n-max", type=int, default=RunConfig.n_max)
+    p_verify.add_argument("--oracle-n-max", type=int, default=RunConfig.oracle_n_max)
+    p_verify.add_argument("--format", choices=("text", "csv", "json"), default=RunConfig.format)
     p_verify.add_argument("--output", default=None)
     p_verify.add_argument("--check-remark", action="store_true")
     p_verify.add_argument("--swap-uv", action="store_true")
@@ -580,16 +565,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            cfg = RunConfig(
-                n_min=args.n_min,
-                n_max=args.n_max,
-                oracle_n_max=args.oracle_n_max,
-                format=args.format,
-                output=args.output,
-                check_remark=args.check_remark,
-                swap_uv=args.swap_uv,
-                print_bases=args.print_bases,
-            )
+            cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
             report, code = cmd_verify(cfg)
             _emit(render_report(report, cfg.format), cfg.output)
             return code

@@ -40,18 +40,10 @@ class GradedDimVector:
     def is_palindrome(self) -> bool:
         return self.dims == tuple(reversed(self.dims))
 
-    def euler_characteristic(self) -> int:
-        return sum(d if i % 2 == 0 else -d for i, d in enumerate(self.dims))
-
     def minus(self, other: "GradedDimVector") -> "GradedDimVector":
         if len(other) != len(self):
             raise ValueError("length mismatch")
         return GradedDimVector(tuple(a - b for a, b in zip(self.dims, other.dims)))
-
-    def plus(self, other: "GradedDimVector") -> "GradedDimVector":
-        if len(other) != len(self):
-            raise ValueError("length mismatch")
-        return GradedDimVector(tuple(a + b for a, b in zip(self.dims, other.dims)))
 
     def render(self) -> str:
         return "(" + ",".join(str(d) for d in self.dims) + ")"

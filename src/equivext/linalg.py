@@ -25,13 +25,6 @@ def integer_scaled(vec: dict) -> tuple[int, dict]:
     return scale, {key: c.numerator * (scale // c.denominator) for key, c in vec.items()}
 
 
-def as_rational(value) -> Fraction:
-    """Coerce ``value`` to an exact rational scalar, rejecting floats."""
-    if isinstance(value, float):
-        raise TypeError(f"refusing to coerce float {value!r} to an exact rational")
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class SparseMatrix:
     """Immutable sparse matrix; only nonzero rational entries are stored."""
@@ -48,29 +41,6 @@ class SparseMatrix:
                 raise ValueError(f"stored zero entry at ({r},{c})")
             if isinstance(v, float):
                 raise TypeError(f"float entry {v!r} at ({r},{c}); entries must be exact")
-
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, entries) -> "SparseMatrix":
-        clean: dict[tuple[int, int], Fraction] = {}
-        for (r, c), v in dict(entries).items():
-            v = as_rational(v)
-            if v:
-                clean[(r, c)] = v
-        return cls(rows, cols, clean)
-
-    @classmethod
-    def from_dense(cls, dense) -> "SparseMatrix":
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(dense):
-            if len(row) != cols:
-                raise ValueError("ragged dense input")
-            for c, v in enumerate(row):
-                v = as_rational(v)
-                if v:
-                    entries[(r, c)] = v
-        return cls(rows, cols, entries)
 
     def row_dicts(self) -> list[dict[int, Fraction]]:
         out: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]

@@ -47,12 +47,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import integer_scaled, rref_vectors
-from .patterns import _canonical, _kernel, _patterns, block_kernel
+from .patterns import _canonical, block_kernel
 from .symgroup import Permutation, generators
 
 Gen = tuple[str, int]  # ("u" | "v", index in 1..n)
-
-_ONE = Fraction(1)
 
 
 def _add_into(acc: dict, items, scale=1) -> dict:
@@ -186,25 +184,11 @@ class SparseVector:
             _check_basis_monomial(m, space)
         return cls(space, clean)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, m: Monomial) -> Fraction:
         return self.terms.get(m, Fraction(0))
 
     def coeff_of(self, rendered: str) -> Fraction:
         return self.coeff(parse_monomial(rendered))
-
-    def scaled(self, factor) -> "SparseVector":
-        f = Fraction(factor)
-        if f == 0:
-            return SparseVector.make(self.space, {})
-        return SparseVector(self.space, {m: c * f for m, c in self.terms.items()})
-
-    def __add__(self, other: "SparseVector") -> "SparseVector":
-        if other.space != self.space:
-            raise ValueError("space mismatch")
-        return SparseVector(self.space, _add_into(dict(self.terms), other.terms.items()))
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda mc: _monomial_sort_key(mc[0]))
@@ -222,7 +206,6 @@ def _monomial_sort_key(m: Monomial):
     return (len(m.wedge), m.wedge, m.duals, m.legs)
 
 
-@lru_cache(maxsize=None)
 def monomials(s: SpaceDescriptor) -> tuple[Monomial, ...]:
     """All basis monomials of W(n; k, a, b) in the fixed enumeration order."""
     gens = [(letter, i) for letter in "uv" for i in range(1, s.n + 1)]
@@ -296,12 +279,6 @@ def act(sigma: Permutation, x: SparseVector) -> SparseVector:
     for m, c in x.terms.items():
         _add_into(terms, act_monomial(sigma, m, n).items(), c)
     return SparseVector(x.space, terms)
-
-
-def unit_vector(n: int) -> SparseVector:
-    """The empty monomial of W(n; 0, 0, 0)."""
-    s = SpaceDescriptor(n, 0, 0, 0)
-    return SparseVector(s, {Monomial((), (), ()): _ONE})
 
 
 @dataclass(frozen=True)
@@ -475,8 +452,3 @@ def invariant_basis(s: SpaceDescriptor) -> InvariantBasis:
     vectors = tuple(SparseVector(s, terms) for _, terms in found)
     pivots = tuple(monos[g] for g, _ in found)
     return InvariantBasis(s, vectors, pivots)
-
-
-def clear_caches() -> None:
-    for cached in (monomials, invariant_basis, _kernel, _patterns):
-        cached.cache_clear()

@@ -32,39 +32,11 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return Permutation(tuple(self(other(i)) for i in range(1, self.degree + 1)))
-
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
         return Permutation(tuple(inv))
-
-    def cycle_type(self) -> tuple[int, ...]:
-        seen = [False] * self.degree
-        lengths = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            length = 0
-            i = start
-            while not seen[i - 1]:
-                seen[i - 1] = True
-                i = self(i)
-                length += 1
-            lengths.append(length)
-        return tuple(sorted(lengths, reverse=True))
-
-    def fixed_points(self) -> int:
-        return sum(1 for i in range(1, self.degree + 1) if self(i) == i)
-
-    @staticmethod
-    def identity(m: int) -> "Permutation":
-        return Permutation(tuple(range(1, m + 1)))
 
     @staticmethod
     def from_cycles(m: int, cycles) -> "Permutation":
@@ -155,10 +127,3 @@ def conjugacy_classes(n: int) -> tuple[ConjugacyClass, ...]:
             )
         )
     return tuple(out)
-
-
-def all_elements(m: int) -> list[Permutation]:
-    """Every permutation of {1, ..., m}; only sensible for small m."""
-    import itertools
-
-    return [Permutation(p) for p in itertools.permutations(range(1, m + 1))]

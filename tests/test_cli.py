@@ -11,6 +11,8 @@ import pytest
 import equivext.spaces as spaces_mod
 from equivext.cli import RunConfig, cmd_invariants, cmd_table, main, run_verify
 
+from support import clear_caches
+
 
 def run_cli(capsys, argv):
     code = main(argv)
@@ -206,7 +208,7 @@ def test_run_verify_range_matches_single_n_runs():
     # Every n of a range shares the process's caches; no n may see another's results.
     report = run_verify(RunConfig(n_min=2, n_max=3, format="json"))
     assert report["verdict"] == "PASS"
-    spaces_mod.clear_caches()
+    clear_caches()
     alone = {n: run_verify(RunConfig(n_min=n, n_max=n, format="json"))["per_n"] for n in (3, 2)}
     assert report["per_n"] == alone[2] + alone[3]
 
@@ -272,7 +274,7 @@ def test_table_and_oracle_stages_enumerate_no_monomials(monkeypatch):
     def boom(s):
         raise AssertionError(f"monomials({s}) called")
 
-    spaces_mod.clear_caches()
+    clear_caches()
     monkeypatch.setattr(spaces_mod, "monomials", boom)
     tables, palindromes = cli_mod._table_results(5)
     assert palindromes
@@ -282,7 +284,6 @@ def test_table_and_oracle_stages_enumerate_no_monomials(monkeypatch):
 
 def test_rank_stage_materialises_only_source_bases(monkeypatch):
     import equivext.cli as cli_mod
-    import equivext.yoneda as yoneda_mod
     from equivext.spaces import SpaceDescriptor
 
     listed = set()
@@ -292,8 +293,7 @@ def test_rank_stage_materialises_only_source_bases(monkeypatch):
         listed.add(s)
         return monomials(s)
 
-    spaces_mod.clear_caches()
-    yoneda_mod._map_rank.cache_clear()
+    clear_caches()
     monkeypatch.setattr(spaces_mod, "monomials", recording)
     checks = cli_mod._rank_checks(5, False, True)
     assert [c["status"] for c in checks] == ["PASS"] * 8

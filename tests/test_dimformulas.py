@@ -70,7 +70,8 @@ def test_ext_G_G_values():
 
 def test_cancellation_identity():
     for n in range(2, 7):
-        assert ext_G_OP(n).plus(ext_G_G(n)) == d_vector(n)
+        total = [x + y for x, y in zip(ext_G_OP(n).dims, ext_G_G(n).dims)]
+        assert total == list(d_vector(n).dims)
 
 
 def test_all_families_are_palindromes():
@@ -82,9 +83,12 @@ def test_all_families_are_palindromes():
 def test_euler_characteristics():
     # the convolution family has vanishing Euler characteristic (one
     # factor already does); the one-leg family alternates to -(n+1)
+    def euler(v):
+        return sum((-1) ** i * d for i, d in enumerate(v.dims))
+
     for n in range(2, 7):
-        assert d_vector(n).euler_characteristic() == 0
-        assert h_G(n).euler_characteristic() == -(n + 1)
+        assert euler(d_vector(n)) == 0
+        assert euler(h_G(n)) == -(n + 1)
 
 
 def test_negative_entries_rejected():

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from equivext.linalg import (
     SparseMatrix,
-    as_rational,
     integer_scaled,
     kernel_of_rows,
     nullspace_basis,
@@ -31,22 +30,28 @@ def dense_matrices(draw, max_dim=6):
     return data
 
 
+def dense(data) -> SparseMatrix:
+    """The matrix with the given rows, as exact rationals."""
+    entries = {(r, c): Fraction(v) for r, row in enumerate(data) for c, v in enumerate(row) if v}
+    return SparseMatrix(len(data), len(data[0]), entries)
+
+
 def test_zero_matrix_has_rank_zero():
-    assert rank(SparseMatrix.from_entries(3, 3, {})) == 0
+    assert rank(SparseMatrix(3, 3, {})) == 0
 
 
 def test_identity_has_full_rank():
-    m = SparseMatrix.from_entries(4, 4, {(i, i): 1 for i in range(4)})
+    m = SparseMatrix(4, 4, {(i, i): Fraction(1) for i in range(4)})
     assert rank(m) == 4
 
 
 def test_nullspace_of_identity_is_empty():
-    m = SparseMatrix.from_entries(3, 3, {(i, i): 1 for i in range(3)})
+    m = SparseMatrix(3, 3, {(i, i): Fraction(1) for i in range(3)})
     assert nullspace_basis(m) == []
 
 
 def test_nullspace_of_zero_matrix_is_unit_vectors():
-    basis = nullspace_basis(SparseMatrix.from_entries(2, 5, {}))
+    basis = nullspace_basis(SparseMatrix(2, 5, {}))
     assert basis == [{i: Fraction(1)} for i in range(5)]
 
 
@@ -70,10 +75,6 @@ def test_stacked_generator_kernel_on_one_leg_space_n3():
 
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
-        as_rational(0.5)
-    with pytest.raises(TypeError):
-        SparseMatrix.from_entries(1, 1, {(0, 0): 1.5})
-    with pytest.raises(TypeError):
         SparseMatrix(1, 1, {(0, 0): 0.5})
 
 
@@ -96,7 +97,7 @@ def test_out_of_bounds_entry_rejected():
 
 def test_echelon_normal_form_leading_ones():
     # kernel of (1 1 1) is echelonized with leading coefficient 1
-    m = SparseMatrix.from_dense([[1, 1, 1]])
+    m = dense([[1, 1, 1]])
     basis = nullspace_basis(m)
     assert basis == [
         {0: Fraction(1), 2: Fraction(-1)},
@@ -106,18 +107,18 @@ def test_echelon_normal_form_leading_ones():
 
 @given(dense_matrices())
 def test_rank_plus_nullity_is_column_count(data):
-    m = SparseMatrix.from_dense(data)
+    m = dense(data)
     assert rank(m) + len(nullspace_basis(m)) == m.cols
 
 
 @given(dense_matrices(), st.randoms(use_true_random=False))
 def test_rank_invariant_under_permutations(data, rng):
-    m = SparseMatrix.from_dense(data)
+    m = dense(data)
     rows = list(range(m.rows))
     cols = list(range(m.cols))
     rng.shuffle(rows)
     rng.shuffle(cols)
-    permuted = SparseMatrix.from_entries(
+    permuted = SparseMatrix(
         m.rows, m.cols, {(rows[r], cols[c]): v for (r, c), v in m.entries.items()}
     )
     assert rank(permuted) == rank(m)
@@ -130,8 +131,8 @@ def _span_contains(rows, ncols, vector) -> bool:
 
 @given(dense_matrices())
 def test_reversed_rows_same_rank_and_kernel_span(data):
-    m = SparseMatrix.from_dense(data)
-    reversed_m = SparseMatrix.from_dense(list(reversed(data)))
+    m = dense(data)
+    reversed_m = dense(list(reversed(data)))
     assert rank(m) == rank(reversed_m)
     k1 = nullspace_basis(m)
     k2 = nullspace_basis(reversed_m)
@@ -141,7 +142,7 @@ def test_reversed_rows_same_rank_and_kernel_span(data):
 
 @given(dense_matrices())
 def test_kernel_vectors_are_killed_by_the_matrix(data):
-    m = SparseMatrix.from_dense(data)
+    m = dense(data)
     rows = m.row_dicts()
     for vec in kernel_of_rows(rows, m.cols):
         for row in rows:

@@ -1,5 +1,6 @@
 """The package namespace: every public name resolves lazily from its home module."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import equivext
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def test_every_public_name_is_the_object_of_its_home_module():
     homed = [name for names in equivext._HOMES.values() for name in names.split()]
@@ -41,7 +43,7 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_home_modules_are_attributes_imported_on_first_access():
-    src = Path(__file__).resolve().parents[1] / "src"
+    src = ROOT / "src"
     script = (
         "import sys, equivext\n"
         "assert 'equivext.chase' not in sys.modules\n"
@@ -55,3 +57,30 @@ def test_home_modules_are_attributes_imported_on_first_access():
     assert proc.returncode == 0, proc.stderr
     for module in equivext._HOMES:
         assert getattr(equivext, module) is importlib.import_module(f"equivext.{module}")
+
+
+def test_every_private_definition_is_reached():
+    # A top-level function or class outside __all__ that no other statement of
+    # src/ or scripts/ names (as a name, attribute or import) serves only tests.
+    # Module hooks such as __getattr__ are called by the interpreter.
+    paths = [*(ROOT / "src" / "equivext").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    named: set[str] = set(equivext.__all__)
+    defined = []
+    for path in sorted(paths):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rpartition(".")[2])
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.name, stmt.name))
+                names.discard(stmt.name)
+            named |= names
+    unreached = [
+        f"{file}:{name}" for file, name in defined if not name.startswith("__") and name not in named
+    ]
+    assert unreached == []

@@ -12,10 +12,11 @@ from equivext.spaces import (
     Monomial,
     SpaceDescriptor,
     act_monomial,
-    clear_caches,
     invariant_basis,
 )
 from equivext.symgroup import Permutation
+
+from support import clear_caches
 
 
 @pytest.fixture(autouse=True)
