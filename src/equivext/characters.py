@@ -21,16 +21,19 @@ character of rho, (fixed points) - 1. All arithmetic is on integers.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .spaces import SpaceDescriptor
 from .symgroup import conjugacy_classes
 
 
+@lru_cache(maxsize=None)
 def wedge_character(cycle_type: tuple[int, ...]) -> tuple[int, ...]:
     """Characters of wedge^k (rho + rho), k = 0..2n, on one class.
 
     ``cycle_type`` is a partition of n+1. Entry k is the coefficient of
-    t^k in (det(1 + t sigma) / (1 + t))^2.
+    t^k in (det(1 + t sigma) / (1 + t))^2. Memoised on the cycle type,
+    since :func:`invariant_dim` asks for every class of every space.
     """
     det = [1] + [0] * sum(cycle_type)
     degree = 0

@@ -76,16 +76,22 @@ class RunConfig:
             )
 
 
+def _family_spaces(family: str, n: int) -> list[SpaceDescriptor]:
+    """The spaces of one table family, in degrees k = 0..2n."""
+    from .dimformulas import TABLE_FAMILIES
+    from .spaces import SpaceDescriptor
+
+    a, b = TABLE_FAMILIES[family]
+    return [SpaceDescriptor(n, k, a, b) for k in range(2 * n + 1)]
+
+
 def _raw_table(family: str, n: int) -> list[int]:
     """Pattern dimensions of one family in degrees 0..2n; d is ext_G_OP + ext_G_G."""
     if family == "d":
         return [x + y for x, y in zip(_raw_table("ext_G_OP", n), _raw_table("ext_G_G", n))]
-    from . import dimformulas
     from .patterns import pattern_dim
-    from .spaces import SpaceDescriptor
 
-    a, b = dimformulas.TABLE_FAMILIES[family]
-    return [pattern_dim(SpaceDescriptor(n, k, a, b)) for k in range(2 * n + 1)]
+    return [pattern_dim(s) for s in _family_spaces(family, n)]
 
 
 def _coefficient_checks(n: int) -> list[dict]:
@@ -136,34 +142,27 @@ def _rank_checks(n: int, swap_uv: bool, check_remark: bool) -> list[dict]:
 
     theta = build_class("theta(u)" if swap_uv else "theta(v)", n)
     zero = DistinguishedClass("theta(0)", theta_of(n, 0, 0), theta.space)
+    # (id, class, side, source, op, value): the check is "rank op value".
     cases = [
-        ("push-H0", theta, "push", SpaceDescriptor(n, 0, 0, 0), "== 1", lambda r: r == 1),
-        ("push-H2", theta, "push", SpaceDescriptor(n, 2, 0, 0), "== 1", lambda r: r == 1),
-        ("push-ext1-G-OP", theta, "push", SpaceDescriptor(n, 1, 1, 0), "== 2", lambda r: r == 2),
-        ("pull-ext1-G-G", theta, "pull", SpaceDescriptor(n, 1, 1, 1), ">= 1", lambda r: r >= 1),
-        ("push-zero-class", zero, "push", SpaceDescriptor(n, 0, 0, 0), "== 0", lambda r: r == 0),
+        ("push-H0", theta, "push", SpaceDescriptor(n, 0, 0, 0), "==", 1),
+        ("push-H2", theta, "push", SpaceDescriptor(n, 2, 0, 0), "==", 1),
+        ("push-ext1-G-OP", theta, "push", SpaceDescriptor(n, 1, 1, 0), "==", 2),
+        ("pull-ext1-G-G", theta, "pull", SpaceDescriptor(n, 1, 1, 1), ">=", 1),
+        ("push-zero-class", zero, "push", SpaceDescriptor(n, 0, 0, 0), "==", 0),
     ]
     if check_remark:
-        for i in range(2, n):
-            cases.append(
-                (
-                    f"push-H{2 * i}",
-                    theta,
-                    "push",
-                    SpaceDescriptor(n, 2 * i, 0, 0),
-                    "== 1",
-                    lambda r: r == 1,
-                )
-            )
+        for k in range(4, 2 * n, 2):
+            cases.append((f"push-H{k}", theta, "push", SpaceDescriptor(n, k, 0, 0), "==", 1))
     out = []
-    for check_id, cls, side, source, expected, ok in cases:
+    for check_id, cls, side, source, op, value in cases:
         got = map_rank(cls, side, source)
+        ok = got >= value if op == ">=" else got == value
         out.append(
             {
                 "id": check_id,
-                "expected": expected,
+                "expected": f"{op} {value}",
                 "got": got,
-                "status": "PASS" if ok(got) else "FAIL",
+                "status": "PASS" if ok else "FAIL",
             }
         )
     return out
@@ -199,16 +198,12 @@ def _table_results(n: int) -> tuple[dict[str, dict], bool]:
 
 def _oracle_results(n: int) -> dict:
     """Character-oracle dimensions against pattern ones on every table and battery space."""
-    from . import characters, dimformulas
+    from . import characters
     from .patterns import pattern_dim
-    from .spaces import SpaceDescriptor
 
-    seen: set[SpaceDescriptor] = set()
+    seen = set(_battery_descriptors(n))
     for family in TABLE_ORDER:
-        a, b = dimformulas.TABLE_FAMILIES[family]
-        for k in range(2 * n + 1):
-            seen.add(SpaceDescriptor(n, k, a, b))
-    seen.update(_battery_descriptors(n))
+        seen.update(_family_spaces(family, n))
     matches = [
         characters.invariant_dim(s) == pattern_dim(s)
         for s in sorted(seen, key=lambda s: (s.k, s.a, s.b))
@@ -239,17 +234,14 @@ def _theorem_result(n: int, check_remark: bool, swap_uv: bool) -> dict:
 
 
 def _bases(n: int) -> dict[str, list[str]]:
-    from . import dimformulas
-    from .spaces import SpaceDescriptor
     from .yoneda import checked_basis
 
     bases: dict[str, list[str]] = {}
     for family in TABLE_ORDER:
-        a, b = dimformulas.TABLE_FAMILIES[family]
-        for k in range(2 * n + 1):
-            basis = checked_basis(SpaceDescriptor(n, k, a, b))
+        for s in _family_spaces(family, n):
+            basis = checked_basis(s)
             if basis.dim:
-                bases[f"{family}[{k}]"] = [v.render() for v in basis.vectors]
+                bases[f"{family}[{s.k}]"] = [v.render() for v in basis.vectors]
     return bases
 
 
@@ -292,18 +284,13 @@ def _verify_one(n: int, cfg: RunConfig) -> dict:
 
 def _oracle_extension(n_from: int, n_to: int) -> list[dict]:
     from . import characters, dimformulas
-    from .spaces import SpaceDescriptor
 
     out = []
     for n in range(n_from, n_to + 1):
         entry: dict = {"n": n}
         match = True
         for family in TABLE_ORDER:
-            a, b = dimformulas.TABLE_FAMILIES[family]
-            dims = [
-                characters.invariant_dim(SpaceDescriptor(n, k, a, b))
-                for k in range(2 * n + 1)
-            ]
+            dims = [characters.invariant_dim(s) for s in _family_spaces(family, n)]
             entry[family] = dims
             match = match and dims == list(dimformulas.formula_table(family, n).dims)
         entry["match_formula"] = match
@@ -574,22 +561,18 @@ def main(argv=None) -> int:
                 raise ValueError("table requires n >= 2")
             _emit(cmd_table(args.which, args.n, args.format), args.output)
             return 0
-        if args.command == "invariants":
-            _emit(
-                cmd_invariants(
-                    args.n, args.k, args.dual, args.rho, args.print_bases, args.format
-                ),
-                args.output,
-            )
-            return 0
-        parser.error("unknown command")
+        # The subparsers are required, so the command is "invariants".
+        _emit(
+            cmd_invariants(args.n, args.k, args.dual, args.rho, args.print_bases, args.format),
+            args.output,
+        )
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal error
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

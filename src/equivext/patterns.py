@@ -33,7 +33,8 @@ source of invariants: :func:`pattern_dim` counts it,
 :func:`equivext.spaces.invariant_basis` expands it to monomials and
 checks the result on its integer action tables, and
 :func:`invariant_pattern_vector` reads a vector of monomials back in
-orbit-sum coordinates, checking that it is an invariant.
+orbit-sum coordinates, checking that it is an invariant. Both read a
+monomial's block, pattern and orbit-sum sign through :func:`pattern_of`.
 
 >>> from equivext.spaces import SpaceDescriptor
 >>> [pattern_dim(SpaceDescriptor(n=4, k=k, a=1, b=1)) for k in range(9)]
@@ -53,7 +54,7 @@ from .linalg import integer_scaled, kernel_of_rows
 from .symgroup import Permutation, full_cycle, transposition
 
 if TYPE_CHECKING:
-    from .spaces import SpaceDescriptor
+    from .spaces import Monomial, SpaceDescriptor
 
 # A type is an int: bit 1 marks a u-factor, bit 0 a v-factor, bit 2 + s leg slot s.
 _U, _V, _LEG = 2, 1, 4
@@ -92,6 +93,17 @@ def _canonical(us, vs, legs, n: int) -> tuple[tuple[int, ...], int]:
         [i for t, i in order if t & _V]
     )
     return tuple(t for t, _ in order), sign
+
+
+def pattern_of(m: Monomial, n: int) -> tuple[int, tuple[int, ...], int]:
+    """A monomial's number p of u-factors, its pattern and its sign in the pattern's orbit sum.
+
+    The one reading of a monomial as an orbit pattern (:func:`_canonical`).
+    """
+    us = [i for letter, i in m.wedge if letter == "u"]
+    vs = [i for letter, i in m.wedge if letter == "v"]
+    pattern, sign = _canonical(us, vs, m.duals + m.legs, n)
+    return len(us), pattern, sign
 
 
 def _set_partitions(mask: int):
@@ -232,15 +244,16 @@ def _rows(g: Permutation, p: int, q: int, legs: int, n: int, column_of: dict) ->
 Kernel = list[dict[tuple[int, ...], Fraction]]
 
 
-def block_kernel(s: SpaceDescriptor, p: int, q: int) -> Kernel:
-    """Invariants of the (p, q) block of ``s`` as combinations of orbit sums.
+def block_kernel(s: SpaceDescriptor, p: int) -> Kernel:
+    """Invariants of the block of ``s`` with p u-factors, as combinations of orbit sums.
 
-    Each vector maps a consistent pattern to its coefficient; the orbit
-    sum of a pattern has coefficient ``sign`` on each monomial for which
-    :func:`_canonical` gives that pattern and ``sign``. Every vector,
+    The block's monomials have p u- and q = k - p v-factors. Each vector
+    maps a consistent pattern to its coefficient; the orbit sum of a
+    pattern has coefficient ``sign`` on each monomial for which
+    :func:`pattern_of` gives that pattern and ``sign``. Every vector,
     scaled to integers, is checked against the rows of the cycle.
     """
-    return _kernel(s.n, p, q, s.a + s.b)
+    return _kernel(s.n, p, s.k - p, s.a + s.b)
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +296,7 @@ def invariant_pattern_vector(s: SpaceDescriptor, terms: dict) -> dict[tuple, int
     ``ValueError`` unless ``terms`` is fixed by the whole group:
 
     * every monomial's pattern is consistent, and its coefficient times
-      its :func:`_canonical` sign is the same on the whole pattern;
+      its :func:`pattern_of` sign is the same on the whole pattern;
     * each pattern has its full orbit of monomials, so ``terms`` is
       exactly a combination of orbit sums, that is S_n-invariant;
     * each block's combination reduces to zero against the block's
@@ -303,12 +316,10 @@ def invariant_pattern_vector(s: SpaceDescriptor, terms: dict) -> dict[tuple, int
     blocks: dict[int, dict[tuple[int, ...], int]] = {}  # p -> pattern -> coefficient
     count: Counter = Counter()
     for m, c in ints.items():
-        us = [i for letter, i in m.wedge if letter == "u"]
-        vs = [i for letter, i in m.wedge if letter == "v"]
-        pattern, sign = _canonical(us, vs, m.duals + m.legs, n)
-        if blocks.setdefault(len(us), {}).setdefault(pattern, c * sign) != c * sign:
+        p, pattern, sign = pattern_of(m, n)
+        if blocks.setdefault(p, {}).setdefault(pattern, c * sign) != c * sign:
             raise ValueError(f"coefficients vary on an orbit of {s}")
-        count[len(us), pattern] += 1
+        count[p, pattern] += 1
     for p, coeffs in blocks.items():
         order = {pattern: j for j, pattern in enumerate(_patterns(p, s.k - p, legs, n))}
         for pattern in coeffs:
@@ -317,7 +328,7 @@ def invariant_pattern_vector(s: SpaceDescriptor, terms: dict) -> dict[tuple, int
             if count[p, pattern] != _orbit_size(pattern, n):
                 raise ValueError(f"incomplete orbit in {s}")
         residue = dict(coeffs)
-        for vec in block_kernel(s, p, s.k - p):
+        for vec in block_kernel(s, p):
             coord = residue.get(min(vec, key=order.__getitem__))
             if coord:
                 for pattern, c in vec.items():
@@ -337,6 +348,6 @@ def pattern_dim(s: SpaceDescriptor) -> int:
     """
     total = 0
     for p in range((s.k + 1) // 2, min(s.k, s.n) + 1):
-        dim = len(block_kernel(s, p, s.k - p))
+        dim = len(block_kernel(s, p))
         total += dim if 2 * p == s.k else 2 * dim
     return total

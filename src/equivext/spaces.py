@@ -14,8 +14,10 @@ Coefficients produced by the action are integers; they become
 ``Fraction``s only in elimination and in the vectors handed out.
 Invariant subspaces are computed per block of monomials with fixed
 numbers of u- and v-factors, which the action preserves. Each block's
-invariants come from the pattern kernel of :mod:`equivext.patterns`,
-expanded to monomials, put in reduced echelon form and checked in
+invariants come from the pattern kernel of :mod:`equivext.patterns`;
+only a block whose kernel is nonempty is listed, by :func:`_block`, the
+one enumerator of monomials. The kernel is expanded to the block's
+monomials, put in reduced echelon form and checked in
 integer arithmetic against both group generators. For the check, the
 images of the block's monomials under each generator are tabulated once,
 as integer rows over positions in the block, and dropped with the block.
@@ -47,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import integer_scaled, rref_vectors
-from .patterns import _canonical, block_kernel
+from .patterns import Kernel, block_kernel, pattern_of
 from .symgroup import Permutation, generators
 
 Gen = tuple[str, int]  # ("u" | "v", index in 1..n)
@@ -206,16 +208,21 @@ def _monomial_sort_key(m: Monomial):
     return (len(m.wedge), m.wedge, m.duals, m.legs)
 
 
-def monomials(s: SpaceDescriptor) -> tuple[Monomial, ...]:
-    """All basis monomials of W(n; k, a, b) in the fixed enumeration order."""
-    gens = [(letter, i) for letter in "uv" for i in range(1, s.n + 1)]
-    leg_range = range(1, s.n + 1)
-    out = []
-    for wedge in itertools.combinations(gens, s.k):
-        for duals in itertools.product(leg_range, repeat=s.a):
-            for legs in itertools.product(leg_range, repeat=s.b):
-                out.append(Monomial(tuple(wedge), duals, legs))
-    return tuple(out)
+def _block(s: SpaceDescriptor, p: int) -> tuple[Monomial, ...]:
+    """The monomials of ``s`` with p u- and k - p v-factors; the only listing of monomials.
+
+    Wedge-major in increasing wedge order, each wedge followed by its
+    n^(a+b) leg tuples in ``itertools.product`` order: the layout
+    :class:`_ActionTable` reads.
+    """
+    indices = range(1, s.n + 1)
+    leg_tuples = [(t[: s.a], t[s.a :]) for t in itertools.product(indices, repeat=s.a + s.b)]
+    wedges = (
+        tuple(("u", i) for i in us) + tuple(("v", j) for j in vs)
+        for us in itertools.combinations(indices, p)
+        for vs in itertools.combinations(indices, s.k - p)
+    )
+    return tuple(Monomial(w, duals, legs) for w in wedges for duals, legs in leg_tuples)
 
 
 def _expand_index(j: int, n: int) -> tuple[tuple[int, int], ...]:
@@ -308,11 +315,6 @@ class InvariantBasis:
         return coords
 
 
-def _wedge_letter_counts(m: Monomial) -> tuple[int, int]:
-    p = sum(1 for letter, _ in m.wedge if letter == "u")
-    return p, len(m.wedge) - p
-
-
 class _ActionTable:
     """Images of the monomials of one block under one permutation, in ints.
 
@@ -321,15 +323,15 @@ class _ActionTable:
     costs a few machine words per image term.
 
     The permutation acts on the wedge part and on each leg on its own, so
-    the table is a Kronecker product. ``block`` must be one (p, q) block
-    of :func:`monomials` in its order: wedge-major, each wedge followed by
-    its L = n^(a+b) leg tuples in ``itertools.product`` order, so position
+    the table is a Kronecker product. ``block`` must be a block as
+    :func:`_block` lists it: wedge-major, each wedge followed by its
+    L = n^(a+b) leg tuples in ``itertools.product`` order, so position
     w * L + l is the w-th wedge with the l-th leg tuple. The table is built
     from the normal forms of the block's wedges and from the images
     sigma(j) of the indices j = 1..n (index n+1 expanded), multiplied out
     over the a + b leg slots.
 
-    >>> block = monomials(SpaceDescriptor(n=2, k=1, a=0, b=1))[:4]
+    >>> block = _block(SpaceDescriptor(n=2, k=1, a=0, b=1), 1)
     >>> [m.render() for m in block]
     ['u1|e1', 'u1|e2', 'u2|e1', 'u2|e2']
     >>> swap, cycle = (_ActionTable(block, g, 2) for g in generators(2))
@@ -389,25 +391,20 @@ class _ActionTable:
 
 
 def _invariant_vectors_block(
-    block: tuple[Monomial, ...], s: SpaceDescriptor
+    block: tuple[Monomial, ...], kernel: Kernel, s: SpaceDescriptor
 ) -> list[dict[int, Fraction]]:
     """Reduced echelon basis of the invariants supported on one block.
 
-    Indices are positions in ``block``. Each pattern kernel vector puts
-    its coefficient of a pattern, times the monomial's sign in the
-    pattern's orbit sum, on every monomial of that pattern. The action
-    tables live only for this call; every returned vector has been
-    checked against them.
+    ``kernel`` is the block's pattern kernel, nonempty. Indices are
+    positions in ``block``. Each kernel vector puts its coefficient of a
+    pattern, times the monomial's sign in the pattern's orbit sum, on
+    every monomial of that pattern. The action tables live only for this
+    call; every returned vector has been checked against them.
     """
     n = s.n
-    kernel = block_kernel(s, *_wedge_letter_counts(block[0]))
-    if not kernel:
-        return []
     members: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for i, m in enumerate(block):
-        us = [j for letter, j in m.wedge if letter == "u"]
-        vs = [j for letter, j in m.wedge if letter == "v"]
-        pattern, sign = _canonical(us, vs, m.duals + m.legs, n)
+        _, pattern, sign = pattern_of(m, n)
         members.setdefault(pattern, []).append((i, sign))
     combos = [
         {i: c * sign for pattern, c in coeffs.items() for i, sign in members[pattern]}
@@ -426,29 +423,29 @@ def _invariant_vectors_block(
 def invariant_basis(s: SpaceDescriptor) -> InvariantBasis:
     """Basis of the subspace fixed by the whole group, in reduced echelon form.
 
-    The action preserves the number of u- and v-factors of the wedge
-    part, so each (p, q) block is solved on its own. Its invariants are
-    the pattern kernel :func:`equivext.patterns.block_kernel`, written
-    out on the block's monomials. Their reduced echelon basis is checked
-    in integer arithmetic: each vector, scaled to integer coefficients,
-    must be mapped to itself by both group generators, whose action on
-    the block is tabulated as the Kronecker product of the action on the
-    block's wedges and on the leg indices (:class:`_ActionTable`). The
-    blocks have disjoint supports, so their bases, ordered by leading
-    monomial, form the same unique basis as the stacked kernel of
-    (M_sigma - I) over the whole space, the reference the tests compare
-    it with.
+    The action preserves the number p of u-factors of the wedge part, so
+    each block is solved on its own. Its invariants are the pattern
+    kernel :func:`equivext.patterns.block_kernel`, and only a block whose
+    kernel is nonempty is listed (:func:`_block`) and written out on its
+    monomials. Their reduced echelon basis is checked in integer
+    arithmetic: each vector, scaled to integer coefficients, must be
+    mapped to itself by both group generators, whose action on the block
+    is tabulated as the Kronecker product of the action on the block's
+    wedges and on the leg indices (:class:`_ActionTable`). The blocks have
+    disjoint supports, so their bases, ordered by leading monomial
+    (:func:`_monomial_sort_key`), form the same unique basis as the
+    stacked kernel of (M_sigma - I) over the whole space, the reference
+    the tests compare it with.
     """
-    monos = monomials(s)
-    blocks: dict[tuple[int, int], list[int]] = {}
-    for g, m in enumerate(monos):
-        blocks.setdefault(_wedge_letter_counts(m), []).append(g)
-    found: list[tuple[int, dict[Monomial, Fraction]]] = []
-    for positions in blocks.values():
-        block = tuple(monos[g] for g in positions)
-        for vec in _invariant_vectors_block(block, s):
-            found.append((positions[min(vec)], {block[i]: c for i, c in vec.items()}))
-    found.sort(key=lambda item: item[0])
+    found: list[tuple[Monomial, dict[Monomial, Fraction]]] = []
+    for p in range(max(0, s.k - s.n), min(s.k, s.n) + 1):
+        kernel = block_kernel(s, p)
+        if not kernel:
+            continue
+        block = _block(s, p)
+        for vec in _invariant_vectors_block(block, kernel, s):
+            found.append((block[min(vec)], {block[i]: c for i, c in vec.items()}))
+    found.sort(key=lambda item: _monomial_sort_key(item[0]))
     vectors = tuple(SparseVector(s, terms) for _, terms in found)
-    pivots = tuple(monos[g] for g, _ in found)
+    pivots = tuple(pivot for pivot, _ in found)
     return InvariantBasis(s, vectors, pivots)

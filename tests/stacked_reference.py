@@ -16,9 +16,10 @@ from equivext.spaces import (
     SparseVector,
     _add_into,
     act_monomial,
-    monomials,
 )
 from equivext.symgroup import generators
+
+from support import monomials
 
 _ONE = Fraction(1)
 

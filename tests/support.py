@@ -1,14 +1,15 @@
 """Test-side helpers the engine does not need.
 
-Brute-force permutation references, linear combinations of vectors, and
-one reset of every memo of the engine.
+Brute-force permutation references, the brute-force listing of a
+space's monomials, linear combinations of vectors, and one reset of every
+memo of the engine.
 """
 
 import itertools
 import sys
 from fractions import Fraction
 
-from equivext.spaces import SparseVector, _add_into
+from equivext.spaces import Monomial, SpaceDescriptor, SparseVector, _add_into
 from equivext.symgroup import Permutation
 
 
@@ -37,6 +38,18 @@ def cycle_type(p: Permutation) -> tuple[int, ...]:
         if length:
             lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
+
+
+def monomials(s: SpaceDescriptor) -> tuple[Monomial, ...]:
+    """Every basis monomial of W(n; k, a, b), in increasing order of wedge, duals, legs."""
+    gens = [(letter, i) for letter in "uv" for i in range(1, s.n + 1)]
+    leg_range = range(1, s.n + 1)
+    out = []
+    for wedge in itertools.combinations(gens, s.k):
+        for duals in itertools.product(leg_range, repeat=s.a):
+            for legs in itertools.product(leg_range, repeat=s.b):
+                out.append(Monomial(tuple(wedge), duals, legs))
+    return tuple(out)
 
 
 def combination(*pairs) -> SparseVector:

@@ -271,11 +271,11 @@ def test_csv_summary_does_not_echo_swap_uv(capsys):
 def test_table_and_oracle_stages_enumerate_no_monomials(monkeypatch):
     import equivext.cli as cli_mod
 
-    def boom(s):
-        raise AssertionError(f"monomials({s}) called")
+    def boom(s, p):
+        raise AssertionError(f"_block({s}, {p}) called")
 
     clear_caches()
-    monkeypatch.setattr(spaces_mod, "monomials", boom)
+    monkeypatch.setattr(spaces_mod, "_block", boom)
     tables, palindromes = cli_mod._table_results(5)
     assert palindromes
     assert all(t["match"] for t in tables.values())
@@ -287,14 +287,14 @@ def test_rank_stage_materialises_only_source_bases(monkeypatch):
     from equivext.spaces import SpaceDescriptor
 
     listed = set()
-    monomials = spaces_mod.monomials
+    block = spaces_mod._block
 
-    def recording(s):
+    def recording(s, p):
         listed.add(s)
-        return monomials(s)
+        return block(s, p)
 
     clear_caches()
-    monkeypatch.setattr(spaces_mod, "monomials", recording)
+    monkeypatch.setattr(spaces_mod, "_block", recording)
     checks = cli_mod._rank_checks(5, False, True)
     assert [c["status"] for c in checks] == ["PASS"] * 8
     sources = {(0, 0, 0), (2, 0, 0), (1, 1, 0), (1, 1, 1), (4, 0, 0), (6, 0, 0), (8, 0, 0)}

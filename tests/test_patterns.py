@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import equivext.patterns as patterns_mod
 from equivext.characters import invariant_dim
 from equivext.dimformulas import TABLE_FAMILIES, formula_table
-from equivext.patterns import _canonical, pattern_dim
+from equivext.patterns import pattern_dim, pattern_of
 from equivext.spaces import (
     Monomial,
     SpaceDescriptor,
@@ -52,9 +52,8 @@ def monomials_and_perms(draw):
 
 
 def _pattern_and_sign(m: Monomial, n: int):
-    us = [i for x, i in m.wedge if x == "u"]
-    vs = [i for x, i in m.wedge if x == "v"]
-    return _canonical(us, vs, [*m.duals, *m.legs], n)
+    _, pattern, sign = pattern_of(m, n)
+    return pattern, sign
 
 
 @given(monomials_and_perms())

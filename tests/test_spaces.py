@@ -13,14 +13,13 @@ from equivext.spaces import (
     act,
     act_monomial,
     invariant_basis,
-    monomials,
     parse_monomial,
     space_dim,
 )
 from equivext.symgroup import Permutation, full_cycle, generators, transposition
 
 from stacked_reference import invariant_basis_stacked
-from support import after, all_elements, clear_caches, combination, identity
+from support import after, all_elements, clear_caches, combination, identity, monomials
 
 
 def vec(n, k, a, b, text_terms):
@@ -227,8 +226,7 @@ def block_monomials_and_perm(draw):
 @given(block_monomials_and_perm())
 def test_action_table_rows_match_act_monomial(data):
     s, m, sigma = data
-    pq = spaces_mod._wedge_letter_counts(m)
-    block = tuple(x for x in monomials(s) if spaces_mod._wedge_letter_counts(x) == pq)
+    block = spaces_mod._block(s, sum(letter == "u" for letter, _ in m.wedge))
     index_of = {x: i for i, x in enumerate(block)}
     table = spaces_mod._ActionTable(block, sigma, s.n)
     row = list(table.row(index_of[m]))
@@ -242,10 +240,7 @@ TABLE_SHAPES = [(1, 1, 1, 1), (2, 0, 1, 1), (3, 6, 0, 0), (4, 2, 2, 1), (3, 3, 2
 
 
 def letter_blocks(s):
-    blocks: dict[tuple[int, int], list[Monomial]] = {}
-    for m in monomials(s):
-        blocks.setdefault(spaces_mod._wedge_letter_counts(m), []).append(m)
-    return [tuple(block) for block in blocks.values()]
+    return [block for p in range(s.k + 1) if (block := spaces_mod._block(s, p))]
 
 
 @pytest.mark.parametrize("shape", TABLE_SHAPES)
@@ -269,27 +264,49 @@ def test_blocks_are_wedge_major_with_legs_in_product_order(shape):
     # _ActionTable reads block position w * n^(a+b) + l as (w-th wedge, l-th leg tuple).
     s = SpaceDescriptor(*shape)
     leg_tuples = list(itertools.product(range(1, s.n + 1), repeat=s.a + s.b))
-    for block in letter_blocks(s):
+    blocks = {p: spaces_mod._block(s, p) for p in range(s.k + 1)}
+    # The blocks partition the space, block p holding the monomials with p u-factors.
+    listed = [m for block in blocks.values() for m in block]
+    assert len(listed) == len(set(listed)) and set(listed) == set(monomials(s))
+    for p, block in blocks.items():
+        assert all(sum(letter == "u" for letter, _ in m.wedge) == p for m in block)
         runs = [block[i : i + len(leg_tuples)] for i in range(0, len(block), len(leg_tuples))]
         assert len(block) == len(runs) * len(leg_tuples)
         assert len({run[0].wedge for run in runs}) == len(runs)
+        assert [run[0].wedge for run in runs] == sorted(run[0].wedge for run in runs)
         for run in runs:
             assert all(m.wedge == run[0].wedge for m in run)
             assert [m.duals + m.legs for m in run] == leg_tuples
 
 
-def test_invariance_self_check_fires(monkeypatch):
-    # Flip the sign of u1|e1 in the expansion of the pattern kernel to monomials.
-    canonical = spaces_mod._canonical
+def test_blocks_without_invariants_are_not_listed(monkeypatch):
+    listed = []
+    block = spaces_mod._block
 
-    def flipped(us, vs, legs, n):
-        pattern, sign = canonical(us, vs, legs, n)
-        if (list(us), list(vs), list(legs)) == ([1], [], [1]):
-            sign = -sign
-        return pattern, sign
+    def recording(s, p):
+        listed.append((s, p))
+        return block(s, p)
 
     clear_caches()
-    monkeypatch.setattr(spaces_mod, "_canonical", flipped)
+    monkeypatch.setattr(spaces_mod, "_block", recording)
+    wedge_only, legged = SpaceDescriptor(6, 6, 0, 0), SpaceDescriptor(5, 5, 1, 1)
+    assert invariant_basis(wedge_only).dim == 1
+    assert invariant_basis(legged).dim > 0
+    assert listed == [(wedge_only, 3), (legged, 2), (legged, 3)]
+
+
+def test_invariance_self_check_fires(monkeypatch):
+    # Flip the sign of u1|e1 in the expansion of the pattern kernel to monomials.
+    pattern_of = spaces_mod.pattern_of
+
+    def flipped(m, n):
+        p, pattern, sign = pattern_of(m, n)
+        if m.render() == "u1|e1":
+            sign = -sign
+        return p, pattern, sign
+
+    clear_caches()
+    monkeypatch.setattr(spaces_mod, "pattern_of", flipped)
     s = SpaceDescriptor(3, 1, 0, 1)
     with pytest.raises(RuntimeError, match=re.escape(f"computed vector not invariant in {s}")):
         invariant_basis(s)

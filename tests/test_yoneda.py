@@ -13,7 +13,6 @@ from equivext.spaces import (
     _sort_wedge,
     act,
     invariant_basis,
-    monomials,
     parse_monomial,
 )
 from equivext.symgroup import Permutation, generators
@@ -30,7 +29,7 @@ from equivext.yoneda import (
     theta_of,
 )
 
-from support import clear_caches, combination
+from support import clear_caches, combination, monomials
 
 
 def test_theta_expansion_n2():
