@@ -22,10 +22,20 @@ among them), signed by (-1)^|S|, by the wedge re-sort and by the
 canonical sign of the preimage in its orbit sum. The dimension is the
 number of consistent patterns minus the rank of these rows.
 
+Only the rows at representatives whose index n holds an odd number s
+of slots (u-, v- and leg slots) are taken, about half of them. As
+tau^2 = 1, w = (tau - I)v has tau w = -w; and tau sends a monomial to
+(-1)^s times itself plus monomials with fewer slots at n. So w at each
+even s is fixed by w at larger s, and w = 0 once it vanishes at every
+odd s. The grading is tau's own: other permutations, even
+(1 2)(n n+1), have none.
+
 The same preimage routine, written for any permutation g that moves
 n+1, gives the rows of (g - I) at the orbits of the permutations fixing
 n+1 and g(n+1). Every kernel vector, scaled to integers, must be sent to
-zero by the rows of the (n+1)-cycle, else the computation raises.
+zero by the rows of the (n+1)-cycle, else the computation raises. S_n
+and the cycle generate the whole group, so this check also certifies
+the reduction to odd rows at run time.
 
 Dual and plain legs are acted on alike, so a block's kernel depends on
 (n, p, q, a + b) only and is memoised on that key. The kernel is the one
@@ -145,11 +155,13 @@ def _patterns(p: int, q: int, legs: int, most: int) -> tuple[tuple[int, ...], ..
     return tuple(out)
 
 
-def _representatives(p: int, q: int, legs: int, n: int, f: int):
+def _representatives(p: int, q: int, legs: int, n: int, f: int, odd: bool = False):
     """One monomial per consistent orbit of the permutations fixing f (and n+1).
 
     Index f takes any type (or none); the other types fill the remaining
-    indices in ascending order. Yields (us, vs, legs) as in :func:`_canonical`.
+    indices in ascending order. With ``odd``, only the orbits whose index
+    f carries an odd number of slots. Yields (us, vs, legs) as in
+    :func:`_canonical`.
     """
     others = [i for i in range(1, n + 1) if i != f]
     slots = legs.bit_length() - 2 if legs else 0
@@ -157,7 +169,7 @@ def _representatives(p: int, q: int, legs: int, n: int, f: int):
     while True:
         for flag in range(4):
             tp, tq = flag >> 1, flag & 1
-            if tp > p or tq > q:
+            if tp > p or tq > q or odd and not (sub | flag).bit_count() & 1:
                 continue
             for rest in _patterns(p - tp, q - tq, legs ^ sub, n - 1):
                 index_types = list(zip(others, rest))
@@ -198,7 +210,9 @@ def _slot_choices(indices: list[int], f: int, e: int, inverse: list[int]):
         yield sign * _sort_sign(pre), tuple(sorted(pre))
 
 
-def _rows(g: Permutation, p: int, q: int, legs: int, n: int, column_of: dict) -> list[dict]:
+def _rows(
+    g: Permutation, p: int, q: int, legs: int, n: int, column_of: dict, seen: dict, odd=False
+) -> list[dict]:
     """Rows of (g - I) on the consistent orbit sums, g a permutation moving n+1.
 
     (g - I)v is fixed by the permutations fixing n+1 and f = g(n+1), so
@@ -207,14 +221,22 @@ def _rows(g: Permutation, p: int, q: int, legs: int, n: int, column_of: dict) ->
     the slots S of r that came from index e = g^-1(n+1), whose image n+1
     expands to -(e_1 + ... + e_n), and every other slot from g^-1 of its
     index. Each m contributes (-1)^|S| times the wedge re-sort sign times
-    its coefficient in its orbit sum.
+    its coefficient in its orbit sum. ``seen`` memoises each preimage's
+    (column, sign), which does not depend on g.
+
+    With ``odd``, only the rows at representatives whose index f holds
+    an odd number s of slots. They suffice for g = tau = (n n+1) only:
+    w = (tau - I)v has tau w = -w, and tau maps a monomial to (-1)^s
+    times itself plus monomials with fewer slots at n, so w vanishes once
+    it vanishes at every odd s. f = e is not enough: (1 2)(n n+1) has no
+    such grading. The cycle check of :func:`block_kernel` certifies the
+    reduction at run time.
     """
     f = g(n + 1)
     inverse = [0, *g.inverse().images]
     e = inverse[n + 1]
-    seen: dict[tuple, tuple[int | None, int]] = {}  # preimage -> (column, sign)
     out = []
-    for us, vs, leg_at in _representatives(p, q, legs, n, f):
+    for us, vs, leg_at in _representatives(p, q, legs, n, f, odd):
         pattern, sign = _canonical(us, vs, leg_at, n)
         col = column_of.get(pattern)
         row: dict[int, int] = {} if col is None else {col: -sign}
@@ -262,12 +284,13 @@ def _kernel(n: int, p: int, q: int, slots: int) -> Kernel:
     legs = ((1 << slots) - 1) * _LEG
     columns = _patterns(p, q, legs, n)
     column_of = {pattern: j for j, pattern in enumerate(columns)}
+    seen: dict[tuple, tuple[int | None, int]] = {}  # preimage -> (column, sign)
     tau = transposition(n + 1, n, n + 1)
     # Sparse rows first: elimination then fills in far less.
-    rows = sorted(_rows(tau, p, q, legs, n, column_of), key=len)
+    rows = sorted(_rows(tau, p, q, legs, n, column_of, seen, odd=True), key=len)
     kernel = kernel_of_rows(rows, len(columns))
     if kernel:
-        cycle_rows = _rows(full_cycle(n + 1), p, q, legs, n, column_of)
+        cycle_rows = _rows(full_cycle(n + 1), p, q, legs, n, column_of, seen)
         for vec in kernel:
             _, ints = integer_scaled(vec)
             if any(sum(c * ints.get(j, 0) for j, c in row.items()) for row in cycle_rows):

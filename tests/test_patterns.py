@@ -14,7 +14,8 @@ from equivext.spaces import (
     act_monomial,
     invariant_basis,
 )
-from equivext.symgroup import Permutation
+from equivext.linalg import integer_scaled
+from equivext.symgroup import Permutation, transposition
 
 from support import clear_caches
 
@@ -70,13 +71,15 @@ def test_canonical_sign_follows_act_monomial(case):
 
 
 def test_flipped_tau_coefficient_fails_the_cycle_check(monkeypatch):
-    # One entry of the tau rows alone only ever shrinks the kernel, since
-    # the rows are redundant (the oracle catches that); flipping the tau
-    # coefficient of one orbit sum in every row turns the kernel.
+    # Flipping one entry of one tau row only shrank the kernel in every
+    # block tried (n <= 4, a + b <= 2): most rows are redundant, even the
+    # odd ones alone, and a lost invariant is the oracle's to catch.
+    # Flipping the tau coefficient of one orbit sum in every row turns
+    # the kernel.
     rows = patterns_mod._rows
 
-    def flipped(g, p, q, legs, n, column_of):
-        out = rows(g, p, q, legs, n, column_of)
+    def flipped(g, p, q, legs, n, *args, **kwargs):
+        out = rows(g, p, q, legs, n, *args, **kwargs)
         if g(n + 1) == n:
             for row in out:
                 if 0 in row:
@@ -87,6 +90,54 @@ def test_flipped_tau_coefficient_fails_the_cycle_check(monkeypatch):
     named = re.escape("not invariant for n=3, (p, q) = (1, 0), a + b = 1")
     with pytest.raises(RuntimeError, match=named):
         pattern_dim(SpaceDescriptor(3, 1, 0, 1))
+
+
+def _tau_rows(n: int, p: int, q: int, slots: int, odd: bool = False):
+    """Rows of (tau - I) at every representative (or the odd ones), and each pattern's column."""
+    legs = ((1 << slots) - 1) * patterns_mod._LEG
+    column_of = {pattern: j for j, pattern in enumerate(patterns_mod._patterns(p, q, legs, n))}
+    tau = transposition(n + 1, n, n + 1)
+    return patterns_mod._rows(tau, p, q, legs, n, column_of, {}, odd), column_of
+
+
+# Every (n, a + b) up to n = 5 and a + b = 4 was checked once this way; the
+# n = 4, 5 blocks with four leg slots take 85 s of Fraction elimination.
+PARITY_SHAPES = [(n, slots) for n in range(1, 6) for slots in range(4)]
+PARITY_SHAPES += [(n, 4) for n in range(1, 4)]
+
+
+@pytest.mark.parametrize("n,slots", PARITY_SHAPES, ids=lambda x: str(x))
+def test_odd_tau_rows_give_the_all_row_kernel(n, slots):
+    # The odd rows are some of the rows, so their kernel contains the
+    # all-row kernel; it is no larger if every row vanishes on it. Both
+    # bases are reduced, so they are then equal.
+    for p in range(n + 1):
+        for q in range(n + 1):
+            rows, column_of = _tau_rows(n, p, q, slots)
+            odd, _ = _tau_rows(n, p, q, slots, odd=True)
+            every = {frozenset(row.items()) for row in rows}
+            assert all(frozenset(row.items()) in every for row in odd)
+            for vec in patterns_mod._kernel(n, p, q, slots):
+                _, ints = integer_scaled({column_of[pattern]: c for pattern, c in vec.items()})
+                assert not any(
+                    sum(c * ints.get(j, 0) for j, c in row.items()) for row in rows
+                ), (n, p, q, slots)
+
+
+def test_tau_rows_at_even_representatives_fail_the_cycle_check(monkeypatch):
+    # Only the odd rows of tau suffice; the even ones alone leave
+    # non-invariants in the kernel of some blocks, and the cycle catches them.
+    representatives = patterns_mod._representatives
+
+    def even(p, q, legs, n, f, odd=False):
+        for us, vs, leg_at in representatives(p, q, legs, n, f):
+            if not odd or (us.count(f) + vs.count(f) + leg_at.count(f)) % 2 == 0:
+                yield us, vs, leg_at
+
+    monkeypatch.setattr(patterns_mod, "_representatives", even)
+    named = re.escape("not invariant for n=4, (p, q) = (2, 1), a + b = 2")
+    with pytest.raises(RuntimeError, match=named):
+        pattern_dim(SpaceDescriptor(4, 3, 1, 1))
 
 
 def test_every_table_family_at_n7_matches_the_closed_form():
