@@ -19,11 +19,12 @@ only a block whose kernel is nonempty is listed, by :func:`_block`, the
 one enumerator of monomials. The kernel is expanded to the block's
 monomials, put in reduced echelon form and checked in
 integer arithmetic against both group generators. For the check, the
-images of the block's monomials under each generator are tabulated once,
-as integer rows over positions in the block, and dropped with the block.
-A permutation acts on the wedge part and on each leg separately, so each
-table is the Kronecker product of a table over the block's wedges and
-the n x n index table j -> sigma(j) taken over every leg slot. Reduced
+image of a monomial under a generator is an integer row over positions
+in the block. A permutation acts on the wedge part and on each leg
+separately, so the row is the product of a wedge row, the normal form of
+the image of one wedge, and a leg row built from the n x n index table
+j -> sigma(j) over every leg slot. Wedge rows are computed only for the
+wedges of the checked vectors, and dropped with the block. Reduced
 echelon bases are unique, so the output is reproducible bit for bit no
 matter how the kernel was obtained.
 
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -64,6 +64,13 @@ def _add_into(acc: dict, items, scale=1) -> dict:
         else:
             acc.pop(key, None)
     return acc
+
+
+def _exact(c) -> Fraction:
+    """``c`` as a ``Fraction``; a float raises ``TypeError``, since it is not exact."""
+    if isinstance(c, float):
+        raise TypeError(f"float coefficient {c!r}; coefficients must be exact")
+    return Fraction(c)
 
 
 def _sort_wedge(gens: tuple[Gen, ...] | list[Gen]) -> tuple[int, tuple[Gen, ...]] | None:
@@ -178,10 +185,10 @@ class SparseVector:
         """Vector from (monomial, coefficient) pairs; zero coefficients are dropped.
 
         Raises ``ValueError`` for a monomial that is not a basis monomial
-        of ``space``. The engine builds its vectors with the constructor,
-        which does not check.
+        of ``space`` and ``TypeError`` for a float coefficient. The engine
+        builds its vectors with the constructor, which does not check.
         """
-        clean = {m: Fraction(c) for m, c in dict(terms).items() if c}
+        clean = {m: x for m, c in dict(terms).items() if (x := _exact(c))}
         for m in clean:
             _check_basis_monomial(m, space)
         return cls(space, clean)
@@ -318,68 +325,56 @@ class InvariantBasis:
 class _ActionTable:
     """Images of the monomials of one block under one permutation, in ints.
 
-    Row i holds the (j, c) with sigma(block[i]) = sum of c * block[j]; the
-    rows are stored back to back (compressed sparse rows), so a table
-    costs a few machine words per image term.
+    ``row(i)`` lists the (j, c) with sigma(block[i]) = sum of c * block[j].
 
     The permutation acts on the wedge part and on each leg on its own, so
-    the table is a Kronecker product. ``block`` must be a block as
+    row i is a product of two factors. ``block`` must be a block as
     :func:`_block` lists it: wedge-major, each wedge followed by its
     L = n^(a+b) leg tuples in ``itertools.product`` order, so position
-    w * L + l is the w-th wedge with the l-th leg tuple. The table is built
-    from the normal forms of the block's wedges and from the images
-    sigma(j) of the indices j = 1..n (index n+1 expanded), multiplied out
-    over the a + b leg slots.
+    w * L + l is the w-th wedge with the l-th leg tuple. The L leg rows
+    are built up front from the images sigma(j) of the indices j = 1..n
+    (index n+1 expanded), multiplied out over the a + b leg slots. A
+    wedge row is the normal form of sigma(wedge w), computed when a row
+    of wedge w is first asked for and kept, so only the wedges of the
+    checked vectors are normalised.
 
     >>> block = _block(SpaceDescriptor(n=2, k=1, a=0, b=1), 1)
     >>> [m.render() for m in block]
     ['u1|e1', 'u1|e2', 'u2|e1', 'u2|e2']
     >>> swap, cycle = (_ActionTable(block, g, 2) for g in generators(2))
-    >>> [list(swap.row(i)) for i in range(4)]  # (1 2)
+    >>> [swap.row(i) for i in range(4)]  # (1 2)
     [[(3, 1)], [(2, 1)], [(1, 1)], [(0, 1)]]
-    >>> list(cycle.row(0)), sorted(cycle.row(1))  # u1|e2 -> u2|e3 = -u2|e1 - u2|e2
+    >>> cycle.row(0), sorted(cycle.row(1))  # u1|e2 -> u2|e3 = -u2|e1 - u2|e2
     ([(3, 1)], [(2, -1), (3, -1)])
     """
 
-    __slots__ = ("starts", "cols", "coeffs")
-
     def __init__(self, block: tuple[Monomial, ...], sigma: Permutation, n: int):
         slots = len(block[0].duals) + len(block[0].legs)
-        per_wedge = n**slots
-        wedges = [m.wedge for m in block[::per_wedge]]
-        wedge_index = {w: i for i, w in enumerate(wedges)}
-        wedge_rows = [
-            [
-                (wedge_index[t.wedge] * per_wedge, c)
-                for t, c in _normal_form([(letter, sigma(i)) for letter, i in w], (), (), n).items()
-            ]
-            for w in wedges
-        ]
+        self.block, self.sigma, self.n, self.per_wedge = block, sigma, n, n**slots
+        self.wedge_index = {m.wedge: i for i, m in enumerate(block[:: self.per_wedge])}
+        self.wedge_rows: dict[int, list[tuple[int, int]]] = {}
         index_rows = [_expand_index(sigma(j), n) for j in range(1, n + 1)]
-        # One (positions, coefficients) row per leg tuple, first slot most significant.
-        leg_rows = [([0], [1])]
+        # One [(position, coefficient), ...] row per leg tuple, first slot most significant.
+        leg_rows = [[(0, 1)]]
         for _ in range(slots):
             leg_rows = [
-                (
-                    [l * n + i - 1 for l in ls for _, i in expansion],
-                    [c * ci for c in cs for ci, _ in expansion],
-                )
-                for ls, cs in leg_rows
+                [(l * n + i - 1, c * ci) for l, c in row for ci, i in expansion]
+                for row in leg_rows
                 for expansion in index_rows
             ]
-        # Distinct (wedge, leg tuple) targets, so the products need no accumulation.
-        starts, cols, coeffs = array("q", [0]), array("q"), array("q")
-        for wedge_row in wedge_rows:
-            for ls, cs in leg_rows:
-                for base, cw in wedge_row:
-                    cols.extend([base + l for l in ls])
-                    coeffs.extend([cw * c for c in cs])
-                starts.append(len(cols))
-        self.starts, self.cols, self.coeffs = starts, cols, coeffs
+        self.leg_rows = leg_rows
 
-    def row(self, i: int):
-        lo, hi = self.starts[i], self.starts[i + 1]
-        return zip(self.cols[lo:hi], self.coeffs[lo:hi])
+    def row(self, i: int) -> list[tuple[int, int]]:
+        w, l = divmod(i, self.per_wedge)
+        wedge_row = self.wedge_rows.get(w)
+        if wedge_row is None:
+            wedge = [(letter, self.sigma(j)) for letter, j in self.block[i].wedge]
+            wedge_row = self.wedge_rows[w] = [
+                (self.wedge_index[t.wedge] * self.per_wedge, c)
+                for t, c in _normal_form(wedge, (), (), self.n).items()
+            ]
+        # Distinct (wedge, leg tuple) targets, so the products need no accumulation.
+        return [(base + j, cw * c) for base, cw in wedge_row for j, c in self.leg_rows[l]]
 
     def fixes(self, vec: dict[int, Fraction]) -> bool:
         """Whether the permutation maps ``vec`` to itself, checked in ints."""
@@ -429,10 +424,10 @@ def invariant_basis(s: SpaceDescriptor) -> InvariantBasis:
     kernel is nonempty is listed (:func:`_block`) and written out on its
     monomials. Their reduced echelon basis is checked in integer
     arithmetic: each vector, scaled to integer coefficients, must be
-    mapped to itself by both group generators, whose action on the block
-    is tabulated as the Kronecker product of the action on the block's
-    wedges and on the leg indices (:class:`_ActionTable`). The blocks have
-    disjoint supports, so their bases, ordered by leading monomial
+    mapped to itself by both group generators, whose action on a
+    monomial is the product of the action on its wedge and on its leg
+    indices (:class:`_ActionTable`). The blocks have disjoint supports,
+    so their bases, ordered by leading monomial
     (:func:`_monomial_sort_key`), form the same unique basis as the
     stacked kernel of (M_sigma - I) over the whole space, the reference
     the tests compare it with.

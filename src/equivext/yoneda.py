@@ -51,6 +51,7 @@ from .spaces import (
     SpaceDescriptor,
     SparseVector,
     _add_into,
+    _exact,
     _normal_form,
     _sort_wedge,
     act,
@@ -121,10 +122,10 @@ CLASS_NAMES = ("theta(u)", "theta(v)", "omega", "phi(u)", "phi(v)", "xi")
 
 
 def theta_of(n: int, cu, cv) -> SparseVector:
-    """sum_i (cu*u + cv*v)e_i tensor e_i, linear in the chosen direction."""
+    """sum_i (cu*u + cv*v)e_i tensor e_i, linear in (cu, cv); a float raises ``TypeError``."""
     space = SpaceDescriptor(n, 1, 0, 1)
     terms: dict[Monomial, Fraction] = {}
-    for letter, c in (("u", Fraction(cu)), ("v", Fraction(cv))):
+    for letter, c in (("u", _exact(cu)), ("v", _exact(cv))):
         if c:
             _add_into(terms, _orbit_sum(n, letter, 0, 1).items(), c)
     return SparseVector(space, terms)

@@ -78,6 +78,22 @@ def test_floats_are_rejected():
         SparseMatrix(1, 1, {(0, 0): 0.5})
 
 
+@pytest.mark.parametrize("c", [0.1, 0.5, 0.0, -2.0])
+def test_floats_are_rejected_at_the_vector_entry_points(c):
+    from equivext.spaces import SpaceDescriptor, SparseVector, parse_monomial
+    from equivext.yoneda import theta_of
+
+    with pytest.raises(TypeError, match="float"):
+        SparseVector.make(SpaceDescriptor(2, 2, 0, 0), {parse_monomial("u1^v1"): c})
+    with pytest.raises(TypeError, match="float"):
+        theta_of(2, c, 0)
+    with pytest.raises(TypeError, match="float"):
+        theta_of(2, Fraction(1, 2), c)
+    exact = SparseVector.make(SpaceDescriptor(2, 2, 0, 0), {parse_monomial("u1^v1"): Fraction(1, 10)})
+    assert exact.render() == "1/10*u1^v1"
+    assert theta_of(2, Fraction(1, 2), 0) == theta_of(2, Fraction(1, 2), Fraction(0))
+
+
 def test_int_input_gives_fraction_output():
     # 1.0 == 1, so only a type check catches a float leaking out
     outputs = (

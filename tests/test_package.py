@@ -84,3 +84,24 @@ def test_every_private_definition_is_reached():
         f"{file}:{name}" for file, name in defined if not name.startswith("__") and name not in named
     ]
     assert unreached == []
+
+
+def test_every_import_is_used():
+    # A name bound by an import that nothing else in its module names is dead
+    # (annotations count, as they stay names under `from __future__ import annotations`).
+    paths = [*(ROOT / "src" / "equivext").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    unused = []
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused += [f"{path.name}:{line}:{name}" for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -252,7 +252,6 @@ def test_action_tables_equal_act_monomial_on_every_row(shape):
         index_of = {x: i for i, x in enumerate(block)}
         for sigma in perms:
             table = spaces_mod._ActionTable(block, sigma, n)
-            assert len(table.starts) == len(block) + 1
             for i, m in enumerate(block):
                 row = list(table.row(i))
                 expected = {index_of[t]: c for t, c in act_monomial(sigma, m, n).items()}
@@ -342,3 +341,26 @@ def test_tables_are_built_only_for_the_generators(monkeypatch):
     monkeypatch.setattr(spaces_mod, "_ActionTable", Recording)
     invariant_basis(SpaceDescriptor(4, 2, 1, 1))
     assert set(built) == set(generators(4))
+
+
+def test_only_the_wedges_of_checked_vectors_are_normalised(monkeypatch):
+    # W(7; 6, 0, 0) has one invariant block, (3, 3), of 35 * 35 = 1,225 wedges,
+    # and its one vector touches 455 of them.
+    calls: list[int] = []
+    normal_form = spaces_mod._normal_form
+
+    class Recording(spaces_mod._ActionTable):
+        def __init__(self, block, sigma, n):
+            calls.append(0)
+            super().__init__(block, sigma, n)
+
+    def counting(*args):
+        calls[-1] += 1
+        return normal_form(*args)
+
+    clear_caches()
+    monkeypatch.setattr(spaces_mod, "_ActionTable", Recording)
+    monkeypatch.setattr(spaces_mod, "_normal_form", counting)
+    basis = invariant_basis(SpaceDescriptor(7, 6, 0, 0))
+    assert basis.dim == 1 and len({m.wedge for m in basis.vectors[0].terms}) == 455
+    assert len(calls) == len(generators(7)) and all(0 < c <= 455 for c in calls)
