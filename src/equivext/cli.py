@@ -136,26 +136,28 @@ def _coefficient_checks(n: int) -> list[dict]:
     return out
 
 
+# (id, class, side, source (k, a, b), op, value): the check is "rank op value".
+RANK_CASES = (
+    ("push-H0", "theta", "push", (0, 0, 0), "==", 1),
+    ("push-H2", "theta", "push", (2, 0, 0), "==", 1),
+    ("push-ext1-G-OP", "theta", "push", (1, 1, 0), "==", 2),
+    ("pull-ext1-G-G", "theta", "pull", (1, 1, 1), ">=", 1),
+    ("push-zero-class", "zero", "push", (0, 0, 0), "==", 0),
+)
+
+
 def _rank_checks(n: int, swap_uv: bool, check_remark: bool) -> list[dict]:
     from .spaces import SpaceDescriptor
     from .yoneda import DistinguishedClass, build_class, map_rank, theta_of
 
-    theta = build_class("theta(u)" if swap_uv else "theta(v)", n)
-    zero = DistinguishedClass("theta(0)", theta_of(n, 0, 0), theta.space)
-    # (id, class, side, source, op, value): the check is "rank op value".
-    cases = [
-        ("push-H0", theta, "push", SpaceDescriptor(n, 0, 0, 0), "==", 1),
-        ("push-H2", theta, "push", SpaceDescriptor(n, 2, 0, 0), "==", 1),
-        ("push-ext1-G-OP", theta, "push", SpaceDescriptor(n, 1, 1, 0), "==", 2),
-        ("pull-ext1-G-G", theta, "pull", SpaceDescriptor(n, 1, 1, 1), ">=", 1),
-        ("push-zero-class", zero, "push", SpaceDescriptor(n, 0, 0, 0), "==", 0),
-    ]
+    classes = {"theta": build_class("theta(u)" if swap_uv else "theta(v)", n)}
+    classes["zero"] = DistinguishedClass("theta(0)", theta_of(n, 0, 0), classes["theta"].space)
+    cases = list(RANK_CASES)
     if check_remark:
-        for k in range(4, 2 * n, 2):
-            cases.append((f"push-H{k}", theta, "push", SpaceDescriptor(n, k, 0, 0), "==", 1))
+        cases += [(f"push-H{k}", "theta", "push", (k, 0, 0), "==", 1) for k in range(4, 2 * n, 2)]
     out = []
-    for check_id, cls, side, source, op, value in cases:
-        got = map_rank(cls, side, source)
+    for check_id, cls, side, (k, a, b), op, value in cases:
+        got = map_rank(classes[cls], side, SpaceDescriptor(n, k, a, b))
         ok = got >= value if op == ">=" else got == value
         out.append(
             {
@@ -168,19 +170,14 @@ def _rank_checks(n: int, swap_uv: bool, check_remark: bool) -> list[dict]:
     return out
 
 
-def _battery_descriptors(n: int) -> list[SpaceDescriptor]:
+def _battery_descriptors(n: int) -> set[SpaceDescriptor]:
+    """Each :data:`RANK_CASES` source and its target from theta's space W(n; 1, 0, 1)."""
     from .spaces import SpaceDescriptor
+    from .yoneda import _map_target, theta_of
 
-    return [
-        SpaceDescriptor(n, 0, 0, 0),
-        SpaceDescriptor(n, 1, 0, 1),
-        SpaceDescriptor(n, 2, 0, 0),
-        SpaceDescriptor(n, 3, 0, 1),
-        SpaceDescriptor(n, 1, 1, 0),
-        SpaceDescriptor(n, 2, 1, 1),
-        SpaceDescriptor(n, 1, 1, 1),
-        SpaceDescriptor(n, 2, 0, 1),
-    ]
+    theta = theta_of(n, 0, 0).space
+    sources = [(side, SpaceDescriptor(n, *source)) for _, _, side, source, _, _ in RANK_CASES]
+    return {s for side, source in sources for s in (source, _map_target(theta, side, source))}
 
 
 def _table_results(n: int) -> tuple[dict[str, dict], bool]:
@@ -201,7 +198,7 @@ def _oracle_results(n: int) -> dict:
     from . import characters
     from .patterns import pattern_dim
 
-    seen = set(_battery_descriptors(n))
+    seen = _battery_descriptors(n)
     for family in TABLE_ORDER:
         seen.update(_family_spaces(family, n))
     matches = [
@@ -444,11 +441,6 @@ def render_report(report: dict, fmt: str) -> str:
     return _verify_text(report)
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[dict, int]:
-    report = run_verify(cfg)
-    return report, 0 if report["verdict"] == "PASS" else 1
-
-
 def cmd_table(which: str, n: int, fmt: str) -> str:
     from . import dimformulas
 
@@ -553,9 +545,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
-            report, code = cmd_verify(cfg)
+            report = run_verify(cfg)
             _emit(render_report(report, cfg.format), cfg.output)
-            return code
+            return 0 if report["verdict"] == "PASS" else 1
         if args.command == "table":
             if args.n < 2:
                 raise ValueError("table requires n >= 2")

@@ -19,6 +19,17 @@ Rational = Fraction
 _ONE = Fraction(1)
 
 
+def _add_into(acc: dict, items, scale=1) -> dict:
+    """Add ``scale * c`` to ``acc[key]`` for each (key, c) of ``items``; drop zeros."""
+    for key, c in items:
+        nv = acc.get(key, 0) + scale * c
+        if nv:
+            acc[key] = nv
+        else:
+            acc.pop(key, None)
+    return acc
+
+
 def integer_scaled(vec: dict) -> tuple[int, dict]:
     """The lcm ``d`` of the denominators of ``vec``, and ``d * vec`` in ints."""
     scale = math.lcm(*(c.denominator for c in vec.values()))

@@ -60,7 +60,7 @@ from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
 
-from .linalg import integer_scaled, kernel_of_rows
+from .linalg import _add_into, integer_scaled, kernel_of_rows
 from .symgroup import Permutation, full_cycle, transposition
 
 if TYPE_CHECKING:
@@ -354,9 +354,8 @@ def invariant_pattern_vector(s: SpaceDescriptor, terms: dict) -> dict[tuple, int
         for vec in block_kernel(s, p):
             coord = residue.get(min(vec, key=order.__getitem__))
             if coord:
-                for pattern, c in vec.items():
-                    residue[pattern] = residue.get(pattern, 0) - coord * c
-        if any(residue.values()):
+                _add_into(residue, vec.items(), -coord)
+        if residue:
             raise ValueError(f"orbit combination outside the invariants of {s}")
     return {(p, pattern): c for p, coeffs in blocks.items() for pattern, c in coeffs.items()}
 

@@ -48,22 +48,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import integer_scaled, rref_vectors
+from .linalg import _add_into, integer_scaled, rref_vectors
 from .patterns import Kernel, block_kernel, pattern_of
 from .symgroup import Permutation, generators
 
 Gen = tuple[str, int]  # ("u" | "v", index in 1..n)
-
-
-def _add_into(acc: dict, items, scale=1) -> dict:
-    """Add ``scale * c`` to ``acc[key]`` for each (key, c) of ``items``; drop zeros."""
-    for key, c in items:
-        nv = acc.get(key, 0) + scale * c
-        if nv:
-            acc[key] = nv
-        else:
-            acc.pop(key, None)
-    return acc
 
 
 def _exact(c) -> Fraction:
@@ -264,14 +253,7 @@ def _normal_form(wedge, duals, legs, n: int) -> dict[Monomial, int]:
         if sorted_w is None:
             continue
         ssign, w = sorted_w
-        base = wsign * ssign
-        for sign, d, l in tails:
-            mono = Monomial(w, d, l)
-            nv = out.get(mono, 0) + base * sign
-            if nv:
-                out[mono] = nv
-            else:
-                del out[mono]
+        _add_into(out, ((Monomial(w, d, l), sign) for sign, d, l in tails), wsign * ssign)
     return out
 
 

@@ -43,14 +43,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .characters import invariant_dim
-from .linalg import SparseMatrix, integer_scaled, rank, rank_of_rows
+from .linalg import SparseMatrix, _add_into, integer_scaled, rank, rank_of_rows
 from .patterns import invariant_pattern_vector, pattern_dim
 from .spaces import (
     InvariantBasis,
     Monomial,
     SpaceDescriptor,
     SparseVector,
-    _add_into,
     _exact,
     _normal_form,
     _sort_wedge,
@@ -118,7 +117,16 @@ class DistinguishedClass:
     space: SpaceDescriptor
 
 
-CLASS_NAMES = ("theta(u)", "theta(v)", "omega", "phi(u)", "phi(v)", "xi")
+# name -> (wedge letters, dual legs, plain legs) of the class's :func:`_orbit_sum`.
+_CLASS_SHAPES = {
+    "theta(u)": ("u", 0, 1),
+    "theta(v)": ("v", 0, 1),
+    "omega": ("uv", 0, 0),
+    "phi(u)": ("u", 1, 0),
+    "phi(v)": ("v", 1, 0),
+    "xi": ("u", 1, 1),
+}
+CLASS_NAMES = tuple(_CLASS_SHAPES)
 
 
 def theta_of(n: int, cu, cv) -> SparseVector:
@@ -132,7 +140,7 @@ def theta_of(n: int, cu, cv) -> SparseVector:
 
 
 def build_class(name: str, n: int) -> DistinguishedClass:
-    """Construct one of the distinguished classes by name.
+    """Construct one of the distinguished classes by name, from :data:`_CLASS_SHAPES`.
 
     theta(w): sum_i we_i (x) e_i          in W(n; 1, 0, 1)
     omega:    sum_i ue_i ^ ve_i           in W(n; 2, 0, 0)
@@ -144,21 +152,11 @@ def build_class(name: str, n: int) -> DistinguishedClass:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if name not in CLASS_NAMES:
+    if name not in _CLASS_SHAPES:
         raise ValueError(f"unknown class name {name!r}")
-    if name.startswith("theta"):
-        space = SpaceDescriptor(n, 1, 0, 1)
-        terms = _orbit_sum(n, name[6], 0, 1)
-    elif name == "omega":
-        space = SpaceDescriptor(n, 2, 0, 0)
-        terms = _orbit_sum(n, "uv", 0, 0)
-    elif name.startswith("phi"):
-        space = SpaceDescriptor(n, 1, 1, 0)
-        terms = _orbit_sum(n, name[4], 1, 0)
-    else:  # xi
-        space = SpaceDescriptor(n, 1, 1, 1)
-        terms = _orbit_sum(n, "u", 1, 1)
-    value = SparseVector(space, terms)
+    letters, a, b = _CLASS_SHAPES[name]
+    space = SpaceDescriptor(n, len(letters), a, b)
+    value = SparseVector(space, _orbit_sum(n, letters, a, b))
     for sigma in generators(n):
         if act(sigma, value) != value:
             raise RuntimeError(f"class {name} failed the invariance check")

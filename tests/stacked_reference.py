@@ -8,13 +8,12 @@ pattern kernels, the blocks nor the action tables of
 
 from fractions import Fraction
 
-from equivext.linalg import kernel_of_rows
+from equivext.linalg import _add_into, kernel_of_rows
 from equivext.spaces import (
     InvariantBasis,
     Monomial,
     SpaceDescriptor,
     SparseVector,
-    _add_into,
     act_monomial,
 )
 from equivext.symgroup import generators

@@ -9,7 +9,8 @@ import itertools
 import sys
 from fractions import Fraction
 
-from equivext.spaces import Monomial, SpaceDescriptor, SparseVector, _add_into
+from equivext.linalg import _add_into
+from equivext.spaces import Monomial, SpaceDescriptor, SparseVector
 from equivext.symgroup import Permutation
 
 

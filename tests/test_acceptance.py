@@ -6,8 +6,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import json
 import time
 
-import pytest
-
 from equivext.chase import verify_theorem
 from equivext.characters import invariant_dim
 from equivext.cli import _battery_descriptors, main
@@ -119,8 +117,7 @@ def test_criterion_6_oracle_equivalence():
     _verdict(f"6 (oracle equivalence; oracle tables to n=8 in {oracle_elapsed:.1f}s)", ok)
 
 
-def test_criterion_7_discrepancy_surfacing(capsys, monkeypatch):
-    monkeypatch.setenv("EQUIVEXT_WORKERS", "1")
+def test_criterion_7_discrepancy_surfacing(capsys):
     code = main(["verify", "--n-min", "3", "--n-max", "3", "--format", "json"])
     out = capsys.readouterr().out
     report = json.loads(out)
@@ -137,8 +134,7 @@ def test_criterion_7_discrepancy_surfacing(capsys, monkeypatch):
         _verdict("7 (published-tail warning at n=3, verdict PASS)", ok)
 
 
-def test_criterion_8_determinism(capsys, monkeypatch):
-    monkeypatch.setenv("EQUIVEXT_WORKERS", "2")
+def test_criterion_8_determinism(capsys):
     argv = ["verify", "--n-min", "2", "--n-max", "3", "--format", "json"]
     code1 = main(argv)
     first = capsys.readouterr().out

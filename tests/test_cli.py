@@ -237,7 +237,7 @@ def test_cmd_invariants_json(capsys):
         ("bases", "_bases"),
     ],
 )
-def test_worker_failure_names_n_and_stage(monkeypatch, capsys, stage, target):
+def test_stage_failure_names_n_and_stage(monkeypatch, capsys, stage, target):
     import equivext.cli as cli_mod
 
     def boom(*args):
@@ -299,6 +299,37 @@ def test_rank_stage_materialises_only_source_bases(monkeypatch):
     assert [c["status"] for c in checks] == ["PASS"] * 8
     sources = {(0, 0, 0), (2, 0, 0), (1, 1, 0), (1, 1, 1), (4, 0, 0), (6, 0, 0), (8, 0, 0)}
     assert listed == {SpaceDescriptor(5, k, a, b) for k, a, b in sources}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_oracle_stage_covers_every_map_of_the_certificate(monkeypatch, n):
+    # Every map whose rank the battery or the chase certifies has its source and
+    # target dimensions checked against the oracle: a battery or a family space.
+    import equivext.chase as chase_mod
+    import equivext.cli as cli_mod
+    import equivext.yoneda as yoneda_mod
+
+    maps = set()
+    map_rank = yoneda_mod.map_rank
+
+    def spy(c, side, source):
+        maps.add((c.space, side, source))
+        return map_rank(c, side, source)
+
+    monkeypatch.setattr(yoneda_mod, "map_rank", spy)
+    monkeypatch.setattr(chase_mod, "map_rank", spy)
+    for check_remark in (False, True):
+        for swap_uv in (False, True):
+            cli_mod._rank_checks(n, swap_uv, check_remark)
+            chase_mod.verify_theorem(n, check_remark=check_remark, swap_uv=swap_uv)
+    used = {
+        s
+        for c_space, side, source in maps
+        for s in (source, yoneda_mod._map_target(c_space, side, source))
+    }
+    families = (cli_mod._family_spaces(family, n) for family in cli_mod.TABLE_ORDER)
+    assert used <= cli_mod._battery_descriptors(n).union(*families)
+    assert {side for _, side, _ in maps} == {"push", "pull"}
 
 
 N7_REPORT_SHA256 = "5f806ce5233c1d7eadc9654f5d2136dd2137c40c4408577df2f68c431d5e33a0"

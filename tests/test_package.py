@@ -89,7 +89,11 @@ def test_every_private_definition_is_reached():
 def test_every_import_is_used():
     # A name bound by an import that nothing else in its module names is dead
     # (annotations count, as they stay names under `from __future__ import annotations`).
-    paths = [*(ROOT / "src" / "equivext").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    paths = [
+        *(ROOT / "src" / "equivext").glob("*.py"),
+        *(ROOT / "scripts").glob("*.py"),
+        *(ROOT / "tests").glob("*.py"),
+    ]
     unused = []
     for path in sorted(paths):
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import equivext.yoneda as yoneda_mod
+from equivext.linalg import _add_into
 from equivext.patterns import invariant_pattern_vector
 from equivext.spaces import (
     Monomial,
     SpaceDescriptor,
     SparseVector,
-    _add_into,
     _sort_wedge,
     act,
     invariant_basis,
