@@ -22,9 +22,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .spaces import SpaceDescriptor
 from .symgroup import conjugacy_classes
+
+if TYPE_CHECKING:
+    from .spaces import SpaceDescriptor
 
 
 @lru_cache(maxsize=None)

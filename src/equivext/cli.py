@@ -170,16 +170,6 @@ def _rank_checks(n: int, swap_uv: bool, check_remark: bool) -> list[dict]:
     return out
 
 
-def _battery_descriptors(n: int) -> set[SpaceDescriptor]:
-    """Each :data:`RANK_CASES` source and its target from theta's space W(n; 1, 0, 1)."""
-    from .spaces import SpaceDescriptor
-    from .yoneda import _map_target, theta_of
-
-    theta = theta_of(n, 0, 0).space
-    sources = [(side, SpaceDescriptor(n, *source)) for _, _, side, source, _, _ in RANK_CASES]
-    return {s for side, source in sources for s in (source, _map_target(theta, side, source))}
-
-
 def _table_results(n: int) -> tuple[dict[str, dict], bool]:
     """Closed-form tables next to raw dimensions, and the palindrome check."""
     from . import dimformulas
@@ -194,16 +184,18 @@ def _table_results(n: int) -> tuple[dict[str, dict], bool]:
 
 
 def _oracle_results(n: int) -> dict:
-    """Character-oracle dimensions against pattern ones on every table and battery space."""
+    """Character-oracle dimensions against pattern ones on every table-family space.
+
+    These hold the rank battery's spaces: each :data:`RANK_CASES` source
+    and its target under theta has k <= 3 <= 2n and a family's (a, b).
+    """
     from . import characters
     from .patterns import pattern_dim
 
-    seen = _battery_descriptors(n)
-    for family in TABLE_ORDER:
-        seen.update(_family_spaces(family, n))
     matches = [
         characters.invariant_dim(s) == pattern_dim(s)
-        for s in sorted(seen, key=lambda s: (s.k, s.a, s.b))
+        for family in TABLE_ORDER
+        for s in _family_spaces(family, n)
     ]
     return {"descriptors": len(matches), "all_match": all(matches)}
 
@@ -231,12 +223,12 @@ def _theorem_result(n: int, check_remark: bool, swap_uv: bool) -> dict:
 
 
 def _bases(n: int) -> dict[str, list[str]]:
-    from .yoneda import checked_basis
+    from .spaces import invariant_basis
 
     bases: dict[str, list[str]] = {}
     for family in TABLE_ORDER:
         for s in _family_spaces(family, n):
-            basis = checked_basis(s)
+            basis = invariant_basis(s)
             if basis.dim:
                 bases[f"{family}[{s.k}]"] = [v.render() for v in basis.vectors]
     return bases

@@ -33,7 +33,8 @@ sources of the rank battery, ``invariants`` and printed bases need.
 Callers that need only a dimension use
 :func:`equivext.patterns.pattern_dim`, and the rank battery reads its
 images with :func:`equivext.patterns.invariant_pattern_vector`; neither
-lists the monomials of a target space.
+lists the monomials of a target space. Each basis :func:`invariant_basis`
+returns is checked against the character oracle; none is memoised.
 
 >>> s = SpaceDescriptor(n=2, k=2, a=0, b=0)
 >>> len(invariant_basis(s).vectors)
@@ -46,8 +47,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
+from .characters import invariant_dim
 from .linalg import _add_into, integer_scaled, rref_vectors
 from .patterns import Kernel, block_kernel, pattern_of
 from .symgroup import Permutation, generators
@@ -396,7 +397,6 @@ def _invariant_vectors_block(
     return vectors
 
 
-@lru_cache(maxsize=None)
 def invariant_basis(s: SpaceDescriptor) -> InvariantBasis:
     """Basis of the subspace fixed by the whole group, in reduced echelon form.
 
@@ -412,7 +412,8 @@ def invariant_basis(s: SpaceDescriptor) -> InvariantBasis:
     so their bases, ordered by leading monomial
     (:func:`_monomial_sort_key`), form the same unique basis as the
     stacked kernel of (M_sigma - I) over the whole space, the reference
-    the tests compare it with.
+    the tests compare it with. Its size is checked against the character
+    oracle :func:`equivext.characters.invariant_dim`; nothing is memoised.
     """
     found: list[tuple[Monomial, dict[Monomial, Fraction]]] = []
     for p in range(max(0, s.k - s.n), min(s.k, s.n) + 1):
@@ -423,6 +424,8 @@ def invariant_basis(s: SpaceDescriptor) -> InvariantBasis:
         for vec in _invariant_vectors_block(block, kernel, s):
             found.append((block[min(vec)], {block[i]: c for i, c in vec.items()}))
     found.sort(key=lambda item: _monomial_sort_key(item[0]))
+    if len(found) != (expected := invariant_dim(s)):
+        raise RuntimeError(f"invariant basis of {s} has dimension {len(found)}, oracle {expected}")
     vectors = tuple(SparseVector(s, terms) for _, terms in found)
     pivots = tuple(pivot for pivot, _ in found)
     return InvariantBasis(s, vectors, pivots)

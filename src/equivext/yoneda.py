@@ -232,15 +232,6 @@ def compose(x: SparseVector, y: SparseVector, pairing: str = "equivariant") -> S
     return SparseVector(SpaceDescriptor(n, sx.k + sy.k, sy.a, sx.b), terms)
 
 
-def checked_basis(s: SpaceDescriptor) -> InvariantBasis:
-    """:func:`invariant_basis`, its dimension checked against the character oracle."""
-    basis = invariant_basis(s)
-    expected = invariant_dim(s)
-    if basis.dim != expected:
-        raise RuntimeError(f"invariant basis of {s} has dimension {basis.dim}, oracle {expected}")
-    return basis
-
-
 @dataclass(frozen=True)
 class MapOnInvariants:
     """Matrix of a composition operator restricted to invariant bases."""
@@ -273,12 +264,13 @@ def map_on_invariants(
     x -> compose(x, c). Every image is expanded exactly in the
     materialised target invariant basis; a nonzero residue would mean
     the image left the invariant subspace, which equivariance of the
-    product rules out. This is the reference that :func:`map_rank`,
-    which builds no target basis, is tested against.
+    product rules out. Both bases are built anew by :func:`invariant_basis`
+    and checked against the character oracle. This is the reference that
+    :func:`map_rank`, which builds no target basis, is tested against.
     """
     target_desc = _map_target(c.space, side, source)
-    src = checked_basis(source)
-    tgt = checked_basis(target_desc)
+    src = invariant_basis(source)
+    tgt = invariant_basis(target_desc)
     entries: dict[tuple[int, int], Fraction] = {}
     for j, vec in enumerate(src.vectors):
         image = compose(c.value, vec) if side == "push" else compose(vec, c.value)
@@ -293,13 +285,13 @@ def map_rank(c: DistinguishedClass, side: str, source: SpaceDescriptor) -> int:
     """Rank of composing with ``c`` on the invariants of ``source``.
 
     The same rank as ``map_on_invariants(c, side, source).rank``, with
-    no target basis: each image of a :func:`checked_basis` vector of
+    no target basis: each image of an :func:`invariant_basis` vector of
     ``source`` is read in the target's orbit-sum coordinates by
     :func:`equivext.patterns.invariant_pattern_vector`, which raises
     unless the image is invariant, and the rank is that of those
-    coordinate vectors. The target's invariant dimension is checked
-    against the character oracle. Memoised on the class's value (not
-    its name), ``side`` and ``source``.
+    coordinate vectors. The source basis and the target's invariant
+    dimension are both checked against the character oracle. Memoised
+    on the class's value (not its name), ``side`` and ``source``.
     """
     return _map_rank(c.space, frozenset(c.value.terms.items()), side, source)
 
@@ -317,7 +309,7 @@ def _map_rank(
     value = SparseVector(c_space, dict(terms))
     columns: dict[tuple, int] = {}
     rows = []
-    for vec in checked_basis(source).vectors:
+    for vec in invariant_basis(source).vectors:
         image = compose(value, vec) if side == "push" else compose(vec, value)
         coords = invariant_pattern_vector(target, image.terms)
         rows.append({columns.setdefault(key, len(columns)): c for key, c in coords.items()})

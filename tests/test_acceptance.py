@@ -8,7 +8,7 @@ import time
 
 from equivext.chase import verify_theorem
 from equivext.characters import invariant_dim
-from equivext.cli import _battery_descriptors, main
+from equivext.cli import main
 from equivext.dimformulas import TABLE_FAMILIES, d_vector, ext_G_G, formula_table, h_G
 from equivext.spaces import SpaceDescriptor, invariant_basis
 from equivext.yoneda import build_class, compose, map_on_invariants
@@ -104,7 +104,6 @@ def test_criterion_6_oracle_equivalence():
             for (a, b) in TABLE_FAMILIES.values()
             for k in range(2 * n + 1)
         }
-        descriptors.update(_battery_descriptors(n))
         for s in sorted(descriptors, key=lambda s: (s.k, s.a, s.b)):
             ok &= invariant_dim(s) == invariant_basis(s).dim
     start = time.monotonic()

@@ -1,12 +1,20 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from equivext.characters import invariant_dim, wedge_character
-from equivext.cli import _battery_descriptors
+from equivext.cli import RANK_CASES, TABLE_ORDER, _family_spaces
 from equivext.dimformulas import TABLE_FAMILIES, formula_table
 from equivext.spaces import SpaceDescriptor, invariant_basis
 from equivext.symgroup import conjugacy_classes
+from equivext.yoneda import _map_target
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_standard_character_values_n2():
@@ -50,8 +58,25 @@ def test_negative_k_rejected():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_oracle_matches_explicit_kernel_on_battery_spaces(n):
-    for s in _battery_descriptors(n):
+    # The battery's sources and their targets under theta, all of them table-family spaces.
+    theta = SpaceDescriptor(n, 1, 0, 1)
+    sources = [(side, SpaceDescriptor(n, *source)) for _, _, side, source, _, _ in RANK_CASES]
+    battery = {s for side, source in sources for s in (source, _map_target(theta, side, source))}
+    assert battery <= {s for family in TABLE_ORDER for s in _family_spaces(family, n)}
+    for s in battery:
         assert invariant_dim(s) == invariant_basis(s).dim
+
+
+def test_the_oracle_loads_no_engine_module():
+    # The oracle shares no code with the engine it checks.
+    script = "import json, sys, equivext.characters; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & {"equivext.spaces", "equivext.linalg", "equivext.patterns"}
 
 
 # Leg counts above 1: the character of each leg enters with exponent a + b.

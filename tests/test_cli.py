@@ -304,7 +304,7 @@ def test_rank_stage_materialises_only_source_bases(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_oracle_stage_covers_every_map_of_the_certificate(monkeypatch, n):
     # Every map whose rank the battery or the chase certifies has its source and
-    # target dimensions checked against the oracle: a battery or a family space.
+    # target dimensions checked against the oracle: a table-family space.
     import equivext.chase as chase_mod
     import equivext.cli as cli_mod
     import equivext.yoneda as yoneda_mod
@@ -328,7 +328,7 @@ def test_oracle_stage_covers_every_map_of_the_certificate(monkeypatch, n):
         for s in (source, yoneda_mod._map_target(c_space, side, source))
     }
     families = (cli_mod._family_spaces(family, n) for family in cli_mod.TABLE_ORDER)
-    assert used <= cli_mod._battery_descriptors(n).union(*families)
+    assert used <= set().union(*families)
     assert {side for _, side, _ in maps} == {"push", "pull"}
 
 
@@ -362,11 +362,19 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
 
 def test_printed_bases_are_checked_against_the_oracle(monkeypatch):
     import equivext.cli as cli_mod
-    import equivext.yoneda as yoneda_mod
 
-    monkeypatch.setattr(yoneda_mod, "invariant_dim", lambda s: 0 if s.k else 7)
+    monkeypatch.setattr(spaces_mod, "invariant_dim", lambda s: 0 if s.k else 7)
     with pytest.raises(RuntimeError, match="oracle 7"):
         cli_mod._bases(2)
+
+
+def test_invariants_refuses_a_basis_the_oracle_disagrees_with(monkeypatch, capsys):
+    bad = spaces_mod.SpaceDescriptor(3, 2, 1, 1)
+    oracle = spaces_mod.invariant_dim
+    monkeypatch.setattr(spaces_mod, "invariant_dim", lambda s: oracle(s) + (s == bad))
+    assert main(["invariants", "--n", "3", "--k", "2", "--dual", "1", "--rho", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "has dimension" in err and "oracle" in err
 
 
 def _python(*args) -> subprocess.CompletedProcess:
@@ -395,7 +403,10 @@ FOOTPRINT = textwrap.dedent(
     "argv, package",
     [
         (["--help"], set()),
-        (["invariants", "--n", "2", "--k", "1"], {"linalg", "patterns", "spaces", "symgroup"}),
+        (
+            ["invariants", "--n", "2", "--k", "1"],
+            {"characters", "linalg", "patterns", "spaces", "symgroup"},
+        ),
         (
             ["verify", "--n-min", "2", "--n-max", "2"],
             {"characters", "chase", "dimformulas", "linalg", "patterns", "spaces", "symgroup",

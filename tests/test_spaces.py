@@ -329,6 +329,16 @@ def test_invariance_self_check_covers_the_transposition(monkeypatch):
         invariant_basis(s)
 
 
+def test_every_call_checks_the_basis_against_the_oracle(monkeypatch):
+    # No memo may hand out a basis the oracle has not just confirmed.
+    s = SpaceDescriptor(3, 2, 1, 1)
+    invariant_basis(s)
+    oracle = spaces_mod.invariant_dim
+    monkeypatch.setattr(spaces_mod, "invariant_dim", lambda t: oracle(t) + 1)
+    with pytest.raises(RuntimeError, match=re.escape(f"invariant basis of {s} has dimension")):
+        invariant_basis(s)
+
+
 def test_tables_are_built_only_for_the_generators(monkeypatch):
     built = []
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import equivext.spaces as spaces_mod
 import equivext.yoneda as yoneda_mod
 from equivext.linalg import _add_into
 from equivext.patterns import invariant_pattern_vector
@@ -21,7 +22,6 @@ from equivext.yoneda import (
     DistinguishedClass,
     PairingTable,
     build_class,
-    checked_basis,
     compose,
     equivariant_pair,
     map_on_invariants,
@@ -281,9 +281,9 @@ def test_multi_leg_compositions_of_invariants_are_invariant(n):
     for k, k2 in ((0, 0), (0, 1), (1, 0)):
         for a in (0, 1):
             for b in (0, 1):
-                xs = checked_basis(SpaceDescriptor(n, k, 2, b)).vectors
-                ys = checked_basis(SpaceDescriptor(n, k2, a, 2)).vectors
-                target = checked_basis(SpaceDescriptor(n, k + k2, a, b))
+                xs = invariant_basis(SpaceDescriptor(n, k, 2, b)).vectors
+                ys = invariant_basis(SpaceDescriptor(n, k2, a, 2)).vectors
+                target = invariant_basis(SpaceDescriptor(n, k + k2, a, b))
                 for x in xs:
                     for y in ys:
                         target.coordinates(compose(x, y))  # raises if not invariant
@@ -379,13 +379,11 @@ def test_map_matrix_shape_matches_bases():
 
 @pytest.mark.parametrize("wrong", ["source", "target"])
 def test_map_bases_are_checked_against_the_oracle(monkeypatch, wrong):
-    import equivext.yoneda as yoneda_mod
-
     theta = build_class("theta(v)", 2)
     source = SpaceDescriptor(2, 1, 1, 0)
     bad = source if wrong == "source" else SpaceDescriptor(2, 2, 1, 1)
-    oracle = yoneda_mod.invariant_dim
-    monkeypatch.setattr(yoneda_mod, "invariant_dim", lambda s: oracle(s) + (s == bad))
+    oracle = spaces_mod.invariant_dim
+    monkeypatch.setattr(spaces_mod, "invariant_dim", lambda s: oracle(s) + (s == bad))
     with pytest.raises(RuntimeError, match="has dimension"):
         map_on_invariants(theta, "push", source)
 
@@ -457,7 +455,7 @@ def test_map_rank_equals_the_materialised_reference_on_a_sample(case):
 
 def _image(n=3):
     # theta after the degree-2 invariant: 18 monomials in W(3; 3, 0, 1), orbits of 6.
-    vec = checked_basis(SpaceDescriptor(n, 2, 0, 0)).vectors[0]
+    vec = invariant_basis(SpaceDescriptor(n, 2, 0, 0)).vectors[0]
     return compose(build_class("theta(v)", n).value, vec)
 
 
@@ -498,9 +496,11 @@ def test_map_rank_checks_both_spaces_against_the_oracle(monkeypatch, wrong):
     theta = build_class("theta(v)", 2)
     source = SpaceDescriptor(2, 1, 1, 0)
     bad = source if wrong == "source" else SpaceDescriptor(2, 2, 1, 1)
-    oracle = yoneda_mod.invariant_dim
+    # The source basis is checked where it is built, the target dimension in yoneda.
+    module = spaces_mod if wrong == "source" else yoneda_mod
+    oracle = module.invariant_dim
     clear_caches()
-    monkeypatch.setattr(yoneda_mod, "invariant_dim", lambda s: oracle(s) + (s == bad))
+    monkeypatch.setattr(module, "invariant_dim", lambda s: oracle(s) + (s == bad))
     with pytest.raises(RuntimeError, match="has dimension"):
         map_rank(theta, "push", source)
 
