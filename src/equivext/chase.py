@@ -170,28 +170,20 @@ class TheoremReport:
         return all(s.passed for s in self.steps)
 
 
-def _interleaved_row(
-    left: list[int], middle_name: str, right: list[int], degrees: int
-) -> list[Node]:
-    nodes = []
-    for d in range(degrees):
-        nodes.append(Node(f"deg{d}:first", left[d]))
-        nodes.append(Node(f"deg{d}:{middle_name}", None))
-        nodes.append(Node(f"deg{d}:last", right[d]))
-    return nodes
-
-
 def top_row_problem(n: int, push_ranks: dict[int, int], degrees: int) -> ChaseProblem:
     """The long exact sequence linking the graded pieces of the extension
     to those of its two ends, with the connecting ranks supplied."""
     hg = h_G(n).dims + (0,) * 4
     hop = h_OP(n).dims + (0,) * 4
-    nodes = _interleaved_row(list(hg), "middle", list(hop), degrees)
+    nodes = [
+        Node(f"deg{d}:{part}", dim)
+        for d in range(degrees)
+        for part, dim in (("first", hg[d]), ("middle", None), ("last", hop[d]))
+    ]
+    # Per degree: first -> middle, middle -> last, then the connecting map of degree d.
     ranks: list[int | None] = [0]
     for d in range(degrees):
-        ranks.append(None)  # first -> middle
-        ranks.append(None)  # middle -> last
-        ranks.append(push_ranks.get(d))  # connecting map of degree d
+        ranks += [None, None, push_ranks.get(d)]
     if degrees == 2 * n + 1:
         ranks[-1] = 0
     return ChaseProblem(nodes, ranks)

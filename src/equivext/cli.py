@@ -50,6 +50,7 @@ if TYPE_CHECKING:
 REPORT_VERSION = "1.0"
 
 TABLE_ORDER = ("h_OP", "h_G", "ext_G_OP", "ext_G_G")
+TABLES = TABLE_ORDER + ("d",)
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,15 @@ def _raw_table(family: str, n: int) -> list[int]:
     from .patterns import pattern_dim
 
     return [pattern_dim(s) for s in _family_spaces(family, n)]
+
+
+def _table_entry(family: str, n: int) -> dict:
+    """One closed-form table next to its raw pattern dimensions."""
+    from .dimformulas import formula_table
+
+    formula = list(formula_table(family, n).dims)
+    raw = _raw_table(family, n)
+    return {"formula": formula, "raw": raw, "match": formula == raw}
 
 
 def _coefficient_checks(n: int) -> list[dict]:
@@ -172,14 +182,8 @@ def _rank_checks(n: int, swap_uv: bool, check_remark: bool) -> list[dict]:
 
 def _table_results(n: int) -> tuple[dict[str, dict], bool]:
     """Closed-form tables next to raw dimensions, and the palindrome check."""
-    from . import dimformulas
-
-    tables: dict[str, dict] = {}
-    for family in TABLE_ORDER + ("d",):
-        formula = list(dimformulas.formula_table(family, n).dims)
-        raw = _raw_table(family, n)
-        tables[family] = {"formula": formula, "raw": raw, "match": formula == raw}
-    palindromes = all(dimformulas.formula_table(f, n).is_palindrome() for f in TABLE_ORDER)
+    tables = {family: _table_entry(family, n) for family in TABLES}
+    palindromes = all(tables[f]["formula"] == tables[f]["formula"][::-1] for f in TABLE_ORDER)
     return tables, palindromes
 
 
@@ -203,23 +207,21 @@ def _oracle_results(n: int) -> dict:
 def _theorem_result(n: int, check_remark: bool, swap_uv: bool) -> dict:
     from .chase import TheoremFailure, verify_theorem
 
+    # verify_theorem raises at the first failed step, so a returned report passed.
     try:
         theorem = verify_theorem(n, check_remark=check_remark, swap_uv=swap_uv)
-        return {
-            "ext1_MM": theorem.ext1_MM,
-            "hom_MM": theorem.hom_MM,
-            "h_M": list(theorem.h_M),
-            "steps": [s.as_dict() for s in theorem.steps],
-            "status": "PASS" if theorem.passed else "FAIL",
-        }
     except TheoremFailure as failure:
-        return {
-            "ext1_MM": None,
-            "hom_MM": None,
-            "h_M": [],
-            "steps": [s.as_dict() for s in failure.steps],
-            "status": "FAIL",
-        }
+        ext1_MM, hom_MM, h_M, steps, status = None, None, [], failure.steps, "FAIL"
+    else:
+        ext1_MM, hom_MM, h_M = theorem.ext1_MM, theorem.hom_MM, list(theorem.h_M)
+        steps, status = theorem.steps, "PASS"
+    return {
+        "ext1_MM": ext1_MM,
+        "hom_MM": hom_MM,
+        "h_M": h_M,
+        "steps": [s.as_dict() for s in steps],
+        "status": status,
+    }
 
 
 def _bases(n: int) -> dict[str, list[str]]:
@@ -434,25 +436,12 @@ def render_report(report: dict, fmt: str) -> str:
 
 
 def cmd_table(which: str, n: int, fmt: str) -> str:
-    from . import dimformulas
-
-    if which not in TABLE_ORDER + ("d",):
-        raise ValueError(f"unknown table {which!r}")
-    formula = dimformulas.formula_table(which, n)
-    raw = _raw_table(which, n)
-    match = list(formula.dims) == raw
+    entry = _table_entry(which, n)
     if fmt == "json":
-        payload = {
-            "table": which,
-            "n": n,
-            "formula": list(formula.dims),
-            "raw": raw,
-            "match": match,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    formula_s = "(" + ",".join(map(str, formula.dims)) + ")"
-    raw_s = "(" + ",".join(map(str, raw)) + ")"
-    mark = "OK" if match else "MISMATCH"
+        return json.dumps({"table": which, "n": n, **entry}, indent=2) + "\n"
+    formula_s = "(" + ",".join(map(str, entry["formula"])) + ")"
+    raw_s = "(" + ",".join(map(str, entry["raw"])) + ")"
+    mark = "OK" if entry["match"] else "MISMATCH"
     if fmt == "csv":
         rows = ["table,n,formula,raw,match"]
         rows.append(f"{which},{n},\"{formula_s}\",\"{raw_s}\",{mark}")
@@ -503,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--print-bases", action="store_true")
 
     p_table = sub.add_parser("table", help="render one dimension table")
-    p_table.add_argument("which", choices=TABLE_ORDER + ("d",))
+    p_table.add_argument("which", choices=TABLES)
     p_table.add_argument("--n", type=int, required=True)
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_table.add_argument("--output", default=None)

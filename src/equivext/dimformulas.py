@@ -108,18 +108,15 @@ TABLE_FAMILIES: dict[str, tuple[int, int]] = {
 }
 
 
+FORMULAS = {"h_OP": h_OP, "h_G": h_G, "ext_G_OP": ext_G_OP, "ext_G_G": ext_G_G, "d": d_vector}
+
+
 def formula_table(family: str, n: int) -> GradedDimVector:
-    if family == "h_OP":
-        return h_OP(n)
-    if family == "h_G":
-        return h_G(n)
-    if family == "ext_G_OP":
-        return ext_G_OP(n)
-    if family == "ext_G_G":
-        return ext_G_G(n)
-    if family == "d":
-        return d_vector(n)
-    raise ValueError(f"unknown table {family!r}")
+    try:
+        formula = FORMULAS[family]
+    except KeyError:
+        raise ValueError(f"unknown table {family!r}") from None
+    return formula(n)
 
 
 # Tail of the n >= 3 vector for d as listed in the published reference

@@ -30,6 +30,8 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
+        if not 1 <= i <= len(self.images):
+            raise ValueError(f"index {i} outside 1..{len(self.images)}")
         return self.images[i - 1]
 
     def inverse(self) -> "Permutation":
@@ -70,7 +72,6 @@ def generators(n: int) -> list[Permutation]:
     return gens
 
 
-@lru_cache(maxsize=None)
 def partitions(m: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of ``m`` in descending lexicographic order."""
 

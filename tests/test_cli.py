@@ -57,6 +57,42 @@ def test_verify_report_bytes_match_the_benchmark_references(capsys, command):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
 
 
+# Full SHA-256 of outputs that perfbench/references.json does not pin.
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        (
+            "table d --n 4",
+            "0d4c25017490a19c3e4b52c673146474acf3d4dd19433f3b564aa1d1b377c072",
+        ),
+        (
+            "table d --n 4 --format csv",
+            "3da6b90e3875154bb10cae3708f89149a90179db2cf8738c8ba2b0ea95ba2c6f",
+        ),
+        (
+            "table d --n 4 --format json",
+            "5d04a266ca9ef98f0b1dce435d0c3e2ad02880a71a0a6150afcd76037a1148ce",
+        ),
+        (
+            "verify --n-min 3 --n-max 4 --swap-uv --format csv",
+            "6e56ff2178a20fbb634ceda9cb701cd6f630544889934340b453f81e282f053f",
+        ),
+        (
+            "verify --n-min 2 --n-max 3 --print-bases",
+            "3231d6806efaa056803ba6d5742eed2a1d4dca0234af477819a5625946ec81f0",
+        ),
+        (
+            "verify --n-min 2 --n-max 3 --check-remark",
+            "4f5080bd516d3ca6aab53906142800923d86984a6291c2c981980a1e77f465d6",
+        ),
+    ],
+)
+def test_output_bytes_are_pinned(capsys, command, expected):
+    code, out = run_cli(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+
 def test_verify_reports_are_byte_identical(capsys):
     argv = ["verify", "--n-min", "2", "--n-max", "3", "--format", "json"]
     _, first = run_cli(capsys, argv)
@@ -211,6 +247,32 @@ def test_run_verify_range_matches_single_n_runs():
     clear_caches()
     alone = {n: run_verify(RunConfig(n_min=n, n_max=n, format="json"))["per_n"] for n in (3, 2)}
     assert report["per_n"] == alone[2] + alone[3]
+
+
+def test_table_families_are_listed_alike():
+    # cli lists them for --help without loading dimformulas; a family in only
+    # one list is never verified, or a KeyError in _family_spaces.
+    import equivext.cli as cli_mod
+    from equivext.dimformulas import TABLE_FAMILIES
+
+    assert cli_mod.TABLE_ORDER == tuple(TABLE_FAMILIES)
+
+
+def test_a_failed_theorem_step_fails_the_report(monkeypatch, capsys):
+    import equivext.chase as chase_mod
+
+    monkeypatch.setattr(chase_mod, "map_rank", lambda *args: 0)
+    code, out = run_cli(capsys, ["verify", "--n-min", "2", "--n-max", "2", "--format", "json"])
+    assert code == 1
+    result = json.loads(out)["per_n"][0]
+    theorem = result["theorem"]
+    assert (theorem["ext1_MM"], theorem["hom_MM"], theorem["h_M"]) == (None, None, [])
+    assert theorem["status"] == "FAIL"
+    assert theorem["steps"][-1]["id"] == "push-even-0"
+    assert theorem["steps"][-1]["status"] == "FAIL"
+    # The rank battery reads yoneda's map_rank, which still answers.
+    assert all(c["status"] == "PASS" for c in result["ranks"])
+    assert result["verdict"] == "FAIL"
 
 
 def test_cmd_table_rejects_unknown_name():

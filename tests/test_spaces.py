@@ -97,6 +97,13 @@ def test_act_rejects_mismatched_degree():
         act(identity(4), x)
 
 
+def test_act_rejects_an_index_below_one():
+    # A raw-constructed vector skips make's checks; index 0 must not wrap to n+1.
+    x = SparseVector(SpaceDescriptor(2, 1, 0, 0), {Monomial((("u", 0),), (), ()): Fraction(1)})
+    with pytest.raises(ValueError):
+        act(transposition(3, 1, 2), x)
+
+
 @st.composite
 def vectors_and_two_perms(draw):
     n = draw(st.integers(2, 3))

@@ -84,6 +84,13 @@ def test_generators_generate_the_full_group(n):
     assert len(seen) == math.factorial(n + 1)
 
 
+@pytest.mark.parametrize("i", [0, -1, 4])
+def test_permutation_rejects_an_index_outside_its_degree(i):
+    # images[i - 1] would silently read images[-1] at i = 0.
+    with pytest.raises(ValueError):
+        transposition(3, 1, 2)(i)
+
+
 def test_partitions_descending_lex_order():
     assert partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
 
