@@ -27,15 +27,17 @@ of slots (u-, v- and leg slots) are taken, about half of them. As
 tau^2 = 1, w = (tau - I)v has tau w = -w; and tau sends a monomial to
 (-1)^s times itself plus monomials with fewer slots at n. So w at each
 even s is fixed by w at larger s, and w = 0 once it vanishes at every
-odd s. The grading is tau's own: other permutations, even
-(1 2)(n n+1), have none.
+odd s. Conjugating by S_n, the same holds for every (f n+1) with
+1 <= f <= n, graded by the slots at f.
 
-The same preimage routine, written for any permutation g that moves
-n+1, gives the rows of (g - I) at the orbits of the permutations fixing
-n+1 and g(n+1). Every kernel vector, scaled to integers, must be sent to
-zero by the rows of the (n+1)-cycle, else the computation raises. S_n
-and the cycle generate the whole group, so this check also certifies
-the reduction to odd rows at run time.
+The same preimage routine, written for (f n+1), gives the rows of
+((f n+1) - I) at the orbits of the permutations fixing f and n+1. Every
+kernel vector, scaled to integers, must be sent to zero by the rows of
+(1 n+1), else the computation raises. These are the rows of the
+(n+1)-cycle g: write g = (f n+1)h with f = g(n+1); h fixes n+1, so it
+fixes every S_n-invariant v, and (g - I)v = ((f n+1) - I)v. S_n and the
+cycle generate the whole group, so this check also certifies the
+reduction to odd rows at run time.
 
 Dual and plain legs are acted on alike, so a block's kernel depends on
 (n, p, q, a + b) only and is memoised on that key. The kernel is the one
@@ -61,7 +63,6 @@ from itertools import product
 from typing import TYPE_CHECKING
 
 from .linalg import _add_into, integer_scaled, kernel_of_rows
-from .symgroup import Permutation, full_cycle, transposition
 
 if TYPE_CHECKING:
     from .spaces import Monomial, SpaceDescriptor
@@ -191,62 +192,56 @@ def _representatives(p: int, q: int, legs: int, n: int, f: int, odd: bool = Fals
         sub = (sub - 1) & legs
 
 
-def _slot_choices(indices: list[int], f: int, e: int, inverse: list[int]):
-    """Preimage choices for the u- (or v-) factors of a representative.
+def _slot_choices(indices: list[int], f: int):
+    """Preimage choices under (f n+1) for the u- (or v-) factors of a representative.
 
-    Either no factor came from index e = g^-1(n+1), or exactly one did,
-    and a factor at index f = g(n+1) must have. Yields the sorted
-    preimage indices and their sign: -1 if a factor came from e, times
-    the sign of re-sorting.
+    Either no factor came from index f, whose image n+1 expands to
+    -(e_1 + ... + e_n), or exactly one did, and a factor at index f must
+    have. Yields the sorted preimage indices and their sign: -1 if a
+    factor came from f, times the sign of re-sorting.
     """
-    mapped = [inverse[i] for i in indices]
     forced = [t for t, i in enumerate(indices) if i == f]
     for pick in forced or [None, *range(len(indices))]:
-        pre = list(mapped)
+        pre = list(indices)
         sign = 1
         if pick is not None:
-            pre[pick] = e
+            pre[pick] = f
             sign = -1
         yield sign * _sort_sign(pre), tuple(sorted(pre))
 
 
 def _rows(
-    g: Permutation, p: int, q: int, legs: int, n: int, column_of: dict, seen: dict, odd=False
+    f: int, p: int, q: int, legs: int, n: int, column_of: dict, seen: dict, odd=False
 ) -> list[dict]:
-    """Rows of (g - I) on the consistent orbit sums, g a permutation moving n+1.
+    """Rows of ((f n+1) - I) on the consistent orbit sums, 1 <= f <= n.
 
-    (g - I)v is fixed by the permutations fixing n+1 and f = g(n+1), so
-    it is evaluated at one representative r of each consistent orbit of
-    those. The coefficient of r in g(v) sums over the preimages m of r:
-    the slots S of r that came from index e = g^-1(n+1), whose image n+1
-    expands to -(e_1 + ... + e_n), and every other slot from g^-1 of its
-    index. Each m contributes (-1)^|S| times the wedge re-sort sign times
-    its coefficient in its orbit sum. ``seen`` memoises each preimage's
-    (column, sign), which does not depend on g.
+    ((f n+1) - I)v is fixed by the permutations fixing f and n+1, so it
+    is evaluated at one representative r of each consistent orbit of
+    those. The coefficient of r in (f n+1)v sums over the preimages m of
+    r: the set S of r's slots that came from index f, whose image n+1
+    expands to -(e_1 + ... + e_n), holds every slot at f, and every
+    other slot came from its own index. Each m contributes (-1)^|S|
+    times the wedge re-sort sign times its coefficient in its orbit sum.
+    ``seen`` memoises each preimage's (column, sign), which does not
+    depend on f.
 
     With ``odd``, only the rows at representatives whose index f holds
-    an odd number s of slots. They suffice for g = tau = (n n+1) only:
-    w = (tau - I)v has tau w = -w, and tau maps a monomial to (-1)^s
-    times itself plus monomials with fewer slots at n, so w vanishes once
-    it vanishes at every odd s. f = e is not enough: (1 2)(n n+1) has no
-    such grading. The cycle check of :func:`block_kernel` certifies the
-    reduction at run time.
+    an odd number of slots, which suffice (module docstring). The rows
+    of any g with g(n+1) = f are these rows, as g = (f n+1)h with h
+    fixing n+1 and every orbit sum.
     """
-    f = g(n + 1)
-    inverse = [0, *g.inverse().images]
-    e = inverse[n + 1]
     out = []
     for us, vs, leg_at in _representatives(p, q, legs, n, f, odd):
         pattern, sign = _canonical(us, vs, leg_at, n)
         col = column_of.get(pattern)
         row: dict[int, int] = {} if col is None else {col: -sign}
-        slot_options = [[(-1, e)] if i == f else [(1, inverse[i]), (-1, e)] for i in leg_at]
+        slot_options = [[(-1, f)] if i == f else [(1, i), (-1, f)] for i in leg_at]
         leg_choices = [
             (math.prod(c for c, _ in combo), tuple(j for _, j in combo))
             for combo in product(*slot_options)
         ]
-        v_choices = list(_slot_choices(vs, f, e, inverse))
-        for sign_u, pre_u in _slot_choices(us, f, e, inverse):
+        v_choices = list(_slot_choices(vs, f))
+        for sign_u, pre_u in _slot_choices(us, f):
             for sign_v, pre_v in v_choices:
                 for sign_l, pre_l in leg_choices:
                     key = (pre_u, pre_v, pre_l)
@@ -273,7 +268,8 @@ def block_kernel(s: SpaceDescriptor, p: int) -> Kernel:
     maps a consistent pattern to its coefficient; the orbit sum of a
     pattern has coefficient ``sign`` on each monomial for which
     :func:`pattern_of` gives that pattern and ``sign``. Every vector,
-    scaled to integers, is checked against the rows of the cycle.
+    scaled to integers, is checked against the rows of (1 n+1), which
+    are the rows of the (n+1)-cycle (module docstring).
     """
     return _kernel(s.n, p, s.k - p, s.a + s.b)
 
@@ -285,15 +281,14 @@ def _kernel(n: int, p: int, q: int, slots: int) -> Kernel:
     columns = _patterns(p, q, legs, n)
     column_of = {pattern: j for j, pattern in enumerate(columns)}
     seen: dict[tuple, tuple[int | None, int]] = {}  # preimage -> (column, sign)
-    tau = transposition(n + 1, n, n + 1)
     # Sparse rows first: elimination then fills in far less.
-    rows = sorted(_rows(tau, p, q, legs, n, column_of, seen, odd=True), key=len)
+    rows = sorted(_rows(n, p, q, legs, n, column_of, seen, odd=True), key=len)
     kernel = kernel_of_rows(rows, len(columns))
     if kernel:
-        cycle_rows = _rows(full_cycle(n + 1), p, q, legs, n, column_of, seen)
+        check_rows = _rows(1, p, q, legs, n, column_of, seen)
         for vec in kernel:
             _, ints = integer_scaled(vec)
-            if any(sum(c * ints.get(j, 0) for j, c in row.items()) for row in cycle_rows):
+            if any(sum(c * ints.get(j, 0) for j, c in row.items()) for row in check_rows):
                 raise RuntimeError(
                     f"pattern kernel vector not invariant for n={n}, "
                     f"(p, q) = ({p}, {q}), a + b = {slots}"

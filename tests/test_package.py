@@ -109,3 +109,25 @@ def test_every_import_is_used():
                 used.add(node.id)
         unused += [f"{path.name}:{line}:{name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_patterns_imports_only_linalg_at_run_time():
+    # The pattern engine reads indices, not permutation objects or monomial
+    # spaces; imports under `if TYPE_CHECKING:` serve annotations only.
+    tree = ast.parse((ROOT / "src" / "equivext" / "patterns.py").read_text(encoding="utf-8"))
+    checking = {
+        id(node)
+        for stmt in ast.walk(tree)
+        if isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "TYPE_CHECKING"
+        for node in ast.walk(stmt)
+    }
+    imported = set()
+    for node in ast.walk(tree):
+        if id(node) in checking:
+            continue
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["equivext" if node.level else "", node.module]))
+            imported |= {base} if node.module else {f"{base}.{a.name}" for a in node.names}
+    assert {m for m in imported if m.split(".")[0] == "equivext"} == {"equivext.linalg"}

@@ -1,5 +1,6 @@
 import re
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,12 +11,15 @@ from equivext.dimformulas import TABLE_FAMILIES, formula_table
 from equivext.patterns import pattern_dim, pattern_of
 from equivext.spaces import (
     Monomial,
+    SparseVector,
     SpaceDescriptor,
+    _block,
+    act,
     act_monomial,
     invariant_basis,
 )
 from equivext.linalg import integer_scaled
-from equivext.symgroup import Permutation, transposition
+from equivext.symgroup import Permutation, full_cycle, transposition
 
 from support import clear_caches
 
@@ -78,9 +82,9 @@ def test_flipped_tau_coefficient_fails_the_cycle_check(monkeypatch):
     # the kernel.
     rows = patterns_mod._rows
 
-    def flipped(g, p, q, legs, n, *args, **kwargs):
-        out = rows(g, p, q, legs, n, *args, **kwargs)
-        if g(n + 1) == n:
+    def flipped(f, p, q, legs, n, *args, **kwargs):
+        out = rows(f, p, q, legs, n, *args, **kwargs)
+        if f == n:
             for row in out:
                 if 0 in row:
                     row[0] = -row[0]
@@ -92,12 +96,40 @@ def test_flipped_tau_coefficient_fails_the_cycle_check(monkeypatch):
         pattern_dim(SpaceDescriptor(3, 1, 0, 1))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rows_are_the_monomial_action_at_each_representative(n):
+    # _rows reads preimages off patterns; act expands index n+1 on monomials.
+    # The rows of (1 n+1) are compared with the (n+1)-cycle's action, which
+    # they stand in for, and the rows of (n n+1) with its own.
+    for slots, p, q in product(range(3), range(n + 1), range(n + 1)):
+        s = SpaceDescriptor(n, p + q, slots, 0)
+        legs = ((1 << slots) - 1) * patterns_mod._LEG
+        columns = patterns_mod._patterns(p, q, legs, n)
+        column_of = {pattern: j for j, pattern in enumerate(columns)}
+        orbit_sums: list[dict] = [{} for _ in columns]
+        for m in _block(s, p):
+            _, pattern, sign = pattern_of(m, n)
+            if pattern in column_of:
+                orbit_sums[column_of[pattern]][m] = sign
+        for f, g in ((1, full_cycle(n + 1)), (n, transposition(n + 1, n, n + 1))):
+            moved = [act(g, SparseVector.make(s, terms)) for terms in orbit_sums]
+            expected = []
+            for us, vs, leg_at in patterns_mod._representatives(p, q, legs, n, f):
+                wedge = tuple(("u", i) for i in us) + tuple(("v", i) for i in vs)
+                r = Monomial(wedge, tuple(leg_at), ())
+                row = {j: x.coeff(r) - orbit_sums[j].get(r, 0) for j, x in enumerate(moved)}
+                row = {j: c for j, c in row.items() if c}
+                if row:
+                    expected.append(row)
+            rows = patterns_mod._rows(f, p, q, legs, n, column_of, {})
+            assert rows == expected, (n, slots, p, q, f)
+
+
 def _tau_rows(n: int, p: int, q: int, slots: int, odd: bool = False):
     """Rows of (tau - I) at every representative (or the odd ones), and each pattern's column."""
     legs = ((1 << slots) - 1) * patterns_mod._LEG
     column_of = {pattern: j for j, pattern in enumerate(patterns_mod._patterns(p, q, legs, n))}
-    tau = transposition(n + 1, n, n + 1)
-    return patterns_mod._rows(tau, p, q, legs, n, column_of, {}, odd), column_of
+    return patterns_mod._rows(n, p, q, legs, n, column_of, {}, odd), column_of
 
 
 # Every (n, a + b) up to n = 5 and a + b = 4 was checked once this way; the
@@ -126,7 +158,8 @@ def test_odd_tau_rows_give_the_all_row_kernel(n, slots):
 
 def test_tau_rows_at_even_representatives_fail_the_cycle_check(monkeypatch):
     # Only the odd rows of tau suffice; the even ones alone leave
-    # non-invariants in the kernel of some blocks, and the cycle catches them.
+    # non-invariants in the kernel of some blocks, and the rows of (1 n+1),
+    # which are the cycle's, catch them.
     representatives = patterns_mod._representatives
 
     def even(p, q, legs, n, f, odd=False):
