@@ -19,8 +19,11 @@ of their consistent orbits. Each such row is a sum over the preimages
 of the representative, the monomials that put index n on a set S of its
 slots (at most one u-slot and one v-slot, every slot holding index n
 among them), signed by (-1)^|S|, by the wedge re-sort and by the
-canonical sign of the preimage in its orbit sum. The dimension is the
-number of consistent patterns minus the rank of these rows.
+canonical sign of the preimage in its orbit sum. Both are read as type
+sequences, the types of their indices in index order: a preimage moves
+S's bits onto the position of index n, and only the order of the
+positions enters a row, never n. The dimension is the number of
+consistent patterns minus the rank of these rows.
 
 Only the rows at representatives whose index n holds an odd number s
 of slots (u-, v- and leg slots) are taken, about half of them. As
@@ -81,24 +84,18 @@ def _sort_sign(seq: list[int]) -> int:
     return sign
 
 
-def _canonical(us, vs, legs, n: int) -> tuple[tuple[int, ...], int]:
-    """Pattern of a monomial and its coefficient in the pattern's orbit sum.
+def _canonical(types) -> tuple[tuple[int, ...], int]:
+    """Pattern of a type sequence and its coefficient in the pattern's orbit sum.
 
-    ``us`` and ``vs`` are the sorted u- and v-indices of the wedge part,
-    ``legs`` the index of each leg slot. The orbit sum is sigma applied
-    to the representative that numbers the types 1, 2, ... in sorted
-    order, so the coefficient is the sign of re-sorting the u-indices,
-    and the v-indices, listed in that type order. Indices of equal type
-    are listed by index; for a consistent pattern they carry both a u-
-    and a v-factor, and the two signs agree whatever their order.
+    ``types`` lists the types of a monomial's indices in index order, 0
+    for an index that holds nothing; only that order matters. The orbit
+    sum is sigma applied to the representative that numbers the types
+    1, 2, ... in sorted order, so the coefficient is the sign of
+    re-sorting the u-indices, and the v-indices, listed in that type
+    order. Indices of equal type are listed by index; for a consistent
+    pattern they carry both a u- and a v-factor, and the two signs agree
+    whatever their order.
     """
-    types = [0] * (n + 1)
-    for i in us:
-        types[i] |= _U
-    for i in vs:
-        types[i] |= _V
-    for slot, i in enumerate(legs):
-        types[i] |= _LEG << slot
     order = sorted((t, i) for i, t in enumerate(types) if t)
     sign = _sort_sign([i for t, i in order if t & _U]) * _sort_sign(
         [i for t, i in order if t & _V]
@@ -109,12 +106,16 @@ def _canonical(us, vs, legs, n: int) -> tuple[tuple[int, ...], int]:
 def pattern_of(m: Monomial, n: int) -> tuple[int, tuple[int, ...], int]:
     """A monomial's number p of u-factors, its pattern and its sign in the pattern's orbit sum.
 
-    The one reading of a monomial as an orbit pattern (:func:`_canonical`).
+    The one reading of a monomial as a type sequence (:func:`_canonical`),
+    over the indices 0..n with 0 unused.
     """
-    us = [i for letter, i in m.wedge if letter == "u"]
-    vs = [i for letter, i in m.wedge if letter == "v"]
-    pattern, sign = _canonical(us, vs, m.duals + m.legs, n)
-    return len(us), pattern, sign
+    types = [0] * (n + 1)
+    for letter, i in m.wedge:
+        types[i] |= _U if letter == "u" else _V
+    for slot, i in enumerate(m.duals + m.legs):
+        types[i] |= _LEG << slot
+    pattern, sign = _canonical(types)
+    return sum(letter == "u" for letter, _ in m.wedge), pattern, sign
 
 
 def _set_partitions(mask: int):
@@ -157,15 +158,15 @@ def _patterns(p: int, q: int, legs: int, most: int) -> tuple[tuple[int, ...], ..
 
 
 def _representatives(p: int, q: int, legs: int, n: int, f: int, odd: bool = False):
-    """One monomial per consistent orbit of the permutations fixing f (and n+1).
+    """One representative per consistent orbit of the permutations fixing f (and n+1).
 
-    Index f takes any type (or none); the other types fill the remaining
-    indices in ascending order. With ``odd``, only the orbits whose index
-    f carries an odd number of slots. Yields (us, vs, legs) as in
-    :func:`_canonical`.
+    Index f takes any type (or none); the other types ``rest`` fill the
+    remaining indices in ascending order. Yields (types, at): the types
+    of the indices up to the last one used, in index order, as
+    :func:`_canonical` reads them, with f's type (0 if it holds nothing)
+    at position ``at`` = min(f - 1, len(rest)). With ``odd``, only the
+    orbits whose index f carries an odd number of slots.
     """
-    others = [i for i in range(1, n + 1) if i != f]
-    slots = legs.bit_length() - 2 if legs else 0
     sub = legs
     while True:
         for flag in range(4):
@@ -173,41 +174,60 @@ def _representatives(p: int, q: int, legs: int, n: int, f: int, odd: bool = Fals
             if tp > p or tq > q or odd and not (sub | flag).bit_count() & 1:
                 continue
             for rest in _patterns(p - tp, q - tq, legs ^ sub, n - 1):
-                index_types = list(zip(others, rest))
-                if sub | flag:
-                    index_types.append((f, sub | flag))
-                index_types.sort()
-                leg_at = [0] * slots
-                for i, t in index_types:
-                    for s in range(slots):
-                        if t >> s & _LEG:
-                            leg_at[s] = i
-                yield (
-                    [i for i, t in index_types if t & _U],
-                    [i for i, t in index_types if t & _V],
-                    leg_at,
-                )
+                at = min(f - 1, len(rest))
+                yield (*rest[:at], sub | flag, *rest[at:]), at
         if not sub:
             return
         sub = (sub - 1) & legs
 
 
-def _slot_choices(indices: list[int], f: int):
-    """Preimage choices under (f n+1) for the u- (or v-) factors of a representative.
+def _row(types: tuple[int, ...], at: int, column_of: dict, seen: dict) -> dict[int, int]:
+    """Row of ((f n+1) - I) at one representative, read from its type sequence.
 
-    Either no factor came from index f, whose image n+1 expands to
-    -(e_1 + ... + e_n), or exactly one did, and a factor at index f must
-    have. Yields the sorted preimage indices and their sign: -1 if a
-    factor came from f, times the sign of re-sorting.
+    ``types`` and ``at`` are as :func:`_representatives` yields them. The
+    coefficient of the representative r in (f n+1)v sums over the
+    preimages of r: the set S of r's slots that came from index f, whose
+    image n+1 expands to -(e_1 + ... + e_n), holds every slot at f, and
+    every other slot came from its own index. A preimage is r with S's
+    bits moved onto position ``at``. A slot already at f is forced and
+    gives -1. A slot moved from position j gives -(-1)^m, where m counts
+    the slots of the same kind (u-factors, v-factors, or that leg slot)
+    strictly between j and ``at``: the wedge re-sort. Each preimage also
+    gives its sign in its orbit sum; ``seen`` memoises its (column, sign)
+    on its nonzero types in order, which fix both. n does not enter.
     """
-    forced = [t for t, i in enumerate(indices) if i == f]
-    for pick in forced or [None, *range(len(indices))]:
-        pre = list(indices)
-        sign = 1
-        if pick is not None:
-            pre[pick] = f
-            sign = -1
-        yield sign * _sort_sign(pre), tuple(sorted(pre))
+    # The largest type holds the highest leg bit, so this lists every leg slot.
+    bits = (_U, _V, *(_LEG << s for s in range(max(types).bit_length() - 2)))
+    choices = []  # per bit: (sign, position the slot moves from, or None)
+    for bit in bits:
+        where = [j for j, t in enumerate(types) if t & bit]
+        below = sum(j < at for j in where)
+        moves = [(1, None)]
+        for k, j in enumerate(where):
+            between = below - k - 1 if j < at else k - below
+            moves.append((-1 if between % 2 == 0 else 1, j))
+        choices.append([(-1, None)] if types[at] & bit else moves)
+    terms = {tuple(t for t in types if t): -1}  # the -I part, at the representative
+    for combo in product(*choices):
+        pre = list(types)
+        coeff = 1
+        for bit, (c, j) in zip(bits, combo):
+            coeff *= c
+            if j is not None:
+                pre[j] ^= bit
+                pre[at] |= bit
+        key = tuple(t for t in pre if t)
+        terms[key] = terms.get(key, 0) + coeff
+    row: dict[int, int] = {}
+    for key, coeff in terms.items():
+        hit = seen.get(key)
+        if hit is None:
+            pattern, sign = _canonical(key)
+            hit = seen[key] = (column_of.get(pattern), sign)
+        col, sign = hit
+        if col is not None:
+            row[col] = row.get(col, 0) + coeff * sign
+    return {c: v for c, v in row.items() if v}
 
 
 def _rows(
@@ -216,46 +236,14 @@ def _rows(
     """Rows of ((f n+1) - I) on the consistent orbit sums, 1 <= f <= n.
 
     ((f n+1) - I)v is fixed by the permutations fixing f and n+1, so it
-    is evaluated at one representative r of each consistent orbit of
-    those. The coefficient of r in (f n+1)v sums over the preimages m of
-    r: the set S of r's slots that came from index f, whose image n+1
-    expands to -(e_1 + ... + e_n), holds every slot at f, and every
-    other slot came from its own index. Each m contributes (-1)^|S|
-    times the wedge re-sort sign times its coefficient in its orbit sum.
-    ``seen`` memoises each preimage's (column, sign), which does not
-    depend on f.
-
-    With ``odd``, only the rows at representatives whose index f holds
-    an odd number of slots, which suffice (module docstring). The rows
-    of any g with g(n+1) = f are these rows, as g = (f n+1)h with h
-    fixing n+1 and every orbit sum.
+    is evaluated at one representative of each consistent orbit of
+    those, by :func:`_row`. With ``odd``, only the rows at
+    representatives whose index f holds an odd number of slots, which
+    suffice (module docstring). The rows of any g with g(n+1) = f are
+    these rows, as g = (f n+1)h with h fixing n+1 and every orbit sum.
     """
-    out = []
-    for us, vs, leg_at in _representatives(p, q, legs, n, f, odd):
-        pattern, sign = _canonical(us, vs, leg_at, n)
-        col = column_of.get(pattern)
-        row: dict[int, int] = {} if col is None else {col: -sign}
-        slot_options = [[(-1, f)] if i == f else [(1, i), (-1, f)] for i in leg_at]
-        leg_choices = [
-            (math.prod(c for c, _ in combo), tuple(j for _, j in combo))
-            for combo in product(*slot_options)
-        ]
-        v_choices = list(_slot_choices(vs, f))
-        for sign_u, pre_u in _slot_choices(us, f):
-            for sign_v, pre_v in v_choices:
-                for sign_l, pre_l in leg_choices:
-                    key = (pre_u, pre_v, pre_l)
-                    hit = seen.get(key)
-                    if hit is None:
-                        pattern, sign = _canonical(pre_u, pre_v, pre_l, n)
-                        hit = seen[key] = (column_of.get(pattern), sign)
-                    col, sign = hit
-                    if col is not None:
-                        row[col] = row.get(col, 0) + sign_u * sign_v * sign_l * sign
-        row = {c: v for c, v in row.items() if v}
-        if row:
-            out.append(row)
-    return out
+    rows = (_row(t, at, column_of, seen) for t, at in _representatives(p, q, legs, n, f, odd))
+    return [row for row in rows if row]
 
 
 Kernel = list[dict[tuple[int, ...], Fraction]]

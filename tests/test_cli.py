@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import equivext.spaces as spaces_mod
-from equivext.cli import RunConfig, cmd_invariants, cmd_table, main, run_verify
+from equivext.cli import TABLE_ORDER, RunConfig, cmd_invariants, cmd_table, main, run_verify
+from equivext.dimformulas import formula_table
 
 from support import clear_caches
 
@@ -490,9 +491,15 @@ def test_each_command_loads_only_the_layers_it_runs(argv, package):
     assert "concurrent.futures" not in modules
 
 
-def test_oracle_tables_script_lists_matching_rows():
-    proc = _python(str(ROOT / "scripts" / "oracle_tables.py"), "5")
-    assert proc.returncode == 0, proc.stderr
-    rows = [line for line in proc.stdout.splitlines() if line.startswith("  ")]
-    assert len(rows) == 4 * 4  # four families for each n = 2..5
-    assert all(row.endswith("OK") for row in rows)
+def test_verify_report_lists_oracle_rows_past_the_verified_range(capsys):
+    argv = "verify --n-min 2 --n-max 2 --oracle-n-max 5 --format json".split()
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["per_n"][0]["oracle"]["all_match"]
+    assert [entry["n"] for entry in report["oracle_tables"]] == [3, 4, 5]
+    for entry in report["oracle_tables"]:
+        assert set(entry) == {"n", "match_formula", *TABLE_ORDER}
+        for family in TABLE_ORDER:
+            assert entry[family] == list(formula_table(family, entry["n"]).dims), family
+        assert entry["match_formula"]

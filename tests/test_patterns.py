@@ -114,7 +114,13 @@ def test_rows_are_the_monomial_action_at_each_representative(n):
         for f, g in ((1, full_cycle(n + 1)), (n, transposition(n + 1, n, n + 1))):
             moved = [act(g, SparseVector.make(s, terms)) for terms in orbit_sums]
             expected = []
-            for us, vs, leg_at in patterns_mod._representatives(p, q, legs, n, f):
+            others = [i for i in range(1, n + 1) if i != f]
+            for types, at in patterns_mod._representatives(p, q, legs, n, f):
+                index = others[:at] + [f] + others[at:]
+                us = [index[j] for j, t in enumerate(types) if t & patterns_mod._U]
+                vs = [index[j] for j, t in enumerate(types) if t & patterns_mod._V]
+                leg_at = [index[j] for s in range(slots) for j, t in enumerate(types)
+                          if t & patterns_mod._LEG << s]
                 wedge = tuple(("u", i) for i in us) + tuple(("v", i) for i in vs)
                 r = Monomial(wedge, tuple(leg_at), ())
                 row = {j: x.coeff(r) - orbit_sums[j].get(r, 0) for j, x in enumerate(moved)}
@@ -163,14 +169,41 @@ def test_tau_rows_at_even_representatives_fail_the_cycle_check(monkeypatch):
     representatives = patterns_mod._representatives
 
     def even(p, q, legs, n, f, odd=False):
-        for us, vs, leg_at in representatives(p, q, legs, n, f):
-            if not odd or (us.count(f) + vs.count(f) + leg_at.count(f)) % 2 == 0:
-                yield us, vs, leg_at
+        for types, at in representatives(p, q, legs, n, f):
+            if not odd or types[at].bit_count() % 2 == 0:
+                yield types, at
 
     monkeypatch.setattr(patterns_mod, "_representatives", even)
     named = re.escape("not invariant for n=4, (p, q) = (2, 1), a + b = 2")
     with pytest.raises(RuntimeError, match=named):
         pattern_dim(SpaceDescriptor(4, 3, 1, 1))
+
+
+def _block_rows(n: int, p: int, q: int, slots: int):
+    """A block's columns, its odd (n n+1) rows and its (1 n+1) rows, keyed by pattern."""
+    legs = ((1 << slots) - 1) * patterns_mod._LEG
+    columns = patterns_mod._patterns(p, q, legs, n)
+    column_of = {pattern: j for j, pattern in enumerate(columns)}
+
+    def keyed(f: int, odd: bool):
+        rows = patterns_mod._rows(f, p, q, legs, n, column_of, {}, odd)
+        return [{columns[j]: c for j, c in row.items()} for row in rows]
+
+    return columns, keyed(n, True), keyed(1, False)
+
+
+def test_block_rows_are_the_same_for_every_n_past_the_slot_count():
+    # From n = p + q + a + b + 1 on, every pattern fits in n - 1 types, and
+    # a row moves slots only between its representative's own indices and
+    # f, so no further index enters: the rows are the same lists for all n.
+    compared = 0
+    for p, q, slots in product(range(5), range(5), range(3)):
+        if p + q > 4:
+            continue
+        for n in range(p + q + slots + 1, 9):
+            assert _block_rows(n, p, q, slots) == _block_rows(n + 1, p, q, slots), (n, p, q, slots)
+            compared += 1
+    assert compared == 195
 
 
 def test_every_table_family_at_n7_matches_the_closed_form():
