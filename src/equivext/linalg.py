@@ -120,20 +120,20 @@ def rank_of_rows(rows, ncols: int) -> int:
 
 
 def kernel_of_rows(rows, ncols: int) -> list[dict[int, Fraction]]:
-    """Canonical basis of the right kernel of the matrix given by ``rows``."""
+    """Canonical basis of the right kernel of the matrix given by ``rows``.
+
+    One vector per free column f, ascending: e_f minus the reduced pivot
+    rows' entries at f. It depends only on the row space, and it is the
+    kernel's reduced echelon form in descending column order: each
+    vector's last nonzero column is its f, and no other vector touches f.
+    """
     work = [dict(r) for r in rows]
     pivot_of_col = _eliminate(work, ncols)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_of_col:
-            continue
-        vec = {f: _ONE}
-        for c, p in pivot_of_col.items():
-            coeff = work[p].get(f)
-            if coeff:
-                vec[c] = -coeff
-        basis.append(vec)
-    return rref_vectors(basis, ncols)
+    return [
+        {f: _ONE, **{c: -work[p][f] for c, p in pivot_of_col.items() if f in work[p]}}
+        for f in range(ncols)
+        if f not in pivot_of_col
+    ]
 
 
 def rank(m: SparseMatrix) -> int:
@@ -147,4 +147,4 @@ def nullspace_basis(m: SparseMatrix) -> list[dict[int, Fraction]]:
     Each basis vector is a map column index -> coefficient with leading
     coefficient 1; vectors are ordered by leading column.
     """
-    return kernel_of_rows(m.row_dicts(), m.cols)
+    return rref_vectors(kernel_of_rows(m.row_dicts(), m.cols), m.cols)

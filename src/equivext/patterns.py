@@ -306,8 +306,8 @@ def invariant_pattern_vector(s: SpaceDescriptor, terms: dict) -> dict[tuple, int
     * each pattern has its full orbit of monomials, so ``terms`` is
       exactly a combination of orbit sums, that is S_n-invariant;
     * each block's combination reduces to zero against the block's
-      pattern kernel, whose vectors are reduced with pivots in
-      :func:`_patterns` column order, so it lies in the invariants.
+      pattern kernel, at each vector's last pattern in :func:`_patterns`
+      order, where no other vector is nonzero, so it lies in the invariants.
 
     >>> from equivext.spaces import SpaceDescriptor, invariant_basis
     >>> s = SpaceDescriptor(n=2, k=2, a=0, b=0)
@@ -335,7 +335,7 @@ def invariant_pattern_vector(s: SpaceDescriptor, terms: dict) -> dict[tuple, int
                 raise ValueError(f"incomplete orbit in {s}")
         residue = dict(coeffs)
         for vec in block_kernel(s, p):
-            coord = residue.get(min(vec, key=order.__getitem__))
+            coord = residue.get(max(vec, key=order.__getitem__))
             if coord:
                 _add_into(residue, vec.items(), -coord)
         if residue:

@@ -8,7 +8,7 @@ pattern kernels, the blocks nor the action tables of
 
 from fractions import Fraction
 
-from equivext.linalg import _add_into, kernel_of_rows
+from equivext.linalg import _add_into, kernel_of_rows, rref_vectors
 from equivext.spaces import (
     InvariantBasis,
     Monomial,
@@ -26,7 +26,7 @@ _ONE = Fraction(1)
 def _kernel_vectors_stacked(
     monos: tuple[Monomial, ...], perms, n: int
 ) -> list[dict[int, Fraction]]:
-    """Common kernel of the stacked (M_sigma - I) over the given monomials.
+    """Common kernel of the stacked (M_sigma - I) over the given monomials, reduced.
 
     Built from :func:`act_monomial` per monomial, not from the action tables.
     """
@@ -38,7 +38,7 @@ def _kernel_vectors_stacked(
             for target, coeff in image.items():
                 rows.setdefault((g, index_of[target]), {})[col] = coeff
     row_list = [rows[key] for key in sorted(rows)]
-    return kernel_of_rows(row_list, len(monos))
+    return rref_vectors(kernel_of_rows(row_list, len(monos)), len(monos))
 
 
 def invariant_basis_stacked(s: SpaceDescriptor, perms=None) -> InvariantBasis:

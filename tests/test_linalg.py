@@ -165,6 +165,52 @@ def test_kernel_vectors_are_killed_by_the_matrix(data):
             assert sum(row.get(c, 0) * v for c, v in vec.items()) == 0
 
 
+@given(dense_matrices())
+def test_kernel_basis_is_reduced_in_descending_column_order(data):
+    m = dense(data)
+    rows = m.row_dicts()
+    basis = kernel_of_rows(rows, m.cols)
+    assert len(basis) == m.cols - rank_of_rows(rows, m.cols)
+    lasts = [max(vec) for vec in basis]
+    assert lasts == sorted(set(lasts))
+    for vec, last in zip(basis, lasts):
+        assert vec[last] == 1
+        assert all(sum(row.get(c, 0) * v for c, v in vec.items()) == 0 for row in rows)
+        assert all(last not in other for other in basis if other is not vec)
+    assert rref_vectors(basis, m.cols) == nullspace_basis(m)
+
+
+@given(dense_matrices())
+def test_nullspace_basis_is_reduced_in_ascending_column_order(data):
+    m = dense(data)
+    basis = nullspace_basis(m)
+    firsts = [min(vec) for vec in basis]
+    assert firsts == sorted(set(firsts))
+    for vec, first in zip(basis, firsts):
+        assert vec[first] == 1
+        assert all(first not in other for other in basis if other is not vec)
+
+
+def test_pattern_dim_eliminates_each_kernel_once(monkeypatch):
+    from equivext import linalg, patterns
+    from equivext.cli import _family_spaces
+
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return eliminate(rows, ncols)
+
+    patterns._kernel.cache_clear()
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    dims = [patterns.pattern_dim(s) for s in _family_spaces("ext_G_G", 4)]
+    assert dims == [1, 2, 6, 6, 7, 6, 6, 2, 1]
+    misses = patterns._kernel.cache_info().misses
+    assert misses > 0
+    assert len(calls) == misses
+
+
 def test_integer_scaled_clears_denominators_by_their_lcm():
     assert integer_scaled({0: Fraction(1, 2), 3: Fraction(-2, 3), 5: Fraction(4)}) == (
         6,

@@ -61,9 +61,9 @@ def test_home_modules_are_attributes_imported_on_first_access():
 
 def test_every_private_definition_is_reached():
     # A top-level function or class outside __all__ that no other statement of
-    # src/ or scripts/ names (as a name, attribute or import) serves only tests.
+    # src/ names (as a name, attribute or import) serves only tests.
     # Module hooks such as __getattr__ are called by the interpreter.
-    paths = [*(ROOT / "src" / "equivext").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    paths = list((ROOT / "src" / "equivext").glob("*.py"))
     named: set[str] = set(equivext.__all__)
     defined = []
     for path in sorted(paths):
@@ -89,11 +89,7 @@ def test_every_private_definition_is_reached():
 def test_every_import_is_used():
     # A name bound by an import that nothing else in its module names is dead
     # (annotations count, as they stay names under `from __future__ import annotations`).
-    paths = [
-        *(ROOT / "src" / "equivext").glob("*.py"),
-        *(ROOT / "scripts").glob("*.py"),
-        *(ROOT / "tests").glob("*.py"),
-    ]
+    paths = [*(ROOT / "src" / "equivext").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     unused = []
     for path in sorted(paths):
         tree = ast.parse(path.read_text(encoding="utf-8"))
