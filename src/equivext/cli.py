@@ -33,16 +33,15 @@ another in this process, in order of n.
 Engine layers load on first use: each function below imports what it
 runs, so ``--help`` and usage errors load no engine module and
 ``invariants`` loads only :mod:`equivext.spaces` and its dependencies.
+The same holds for :mod:`json`, which only the writers of json and csv
+output import, and ``--help`` loads neither it nor :mod:`dataclasses`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .spaces import SpaceDescriptor
@@ -53,8 +52,9 @@ TABLE_ORDER = ("h_OP", "h_G", "ext_G_OP", "ext_G_G")
 TABLES = TABLE_ORDER + ("d",)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
+    """The options of one ``verify`` run; :func:`run_verify` rejects a bad one."""
+
     n_min: int = 2
     n_max: int = 4
     oracle_n_max: int = 8
@@ -64,17 +64,17 @@ class RunConfig:
     swap_uv: bool = False
     print_bases: bool = False
 
-    def __post_init__(self):
-        if not (2 <= self.n_min <= self.n_max):
-            raise ValueError("need 2 <= n_min <= n_max")
-        if self.oracle_n_max < self.n_max:
-            raise ValueError("oracle_n_max must be at least n_max")
-        if self.format not in ("text", "csv", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.format == "csv" and self.print_bases:
-            raise ValueError(
-                "--print-bases needs --format text or json; csv is a per-check summary"
-            )
+
+def _check_config(cfg: RunConfig) -> None:
+    """Raise ``ValueError`` on a config that no verify run accepts."""
+    if not (2 <= cfg.n_min <= cfg.n_max):
+        raise ValueError("need 2 <= n_min <= n_max")
+    if cfg.oracle_n_max < cfg.n_max:
+        raise ValueError("oracle_n_max must be at least n_max")
+    if cfg.format not in ("text", "csv", "json"):
+        raise ValueError(f"unknown format {cfg.format!r}")
+    if cfg.format == "csv" and cfg.print_bases:
+        raise ValueError("--print-bases needs --format text or json; csv is a per-check summary")
 
 
 def _family_spaces(family: str, n: int) -> list[SpaceDescriptor]:
@@ -102,6 +102,12 @@ def _table_entry(family: str, n: int) -> dict:
     formula = list(formula_table(family, n).dims)
     raw = _raw_table(family, n)
     return {"formula": formula, "raw": raw, "match": formula == raw}
+
+
+def _check(check_id: str, expected, got, ok: bool, **first) -> dict:
+    """One battery check; ``first`` holds the keys that come before ``expected``."""
+    status = "PASS" if ok else "FAIL"
+    return {"id": check_id, **first, "expected": expected, "got": got, "status": status}
 
 
 def _coefficient_checks(n: int) -> list[dict]:
@@ -134,15 +140,8 @@ def _coefficient_checks(n: int) -> list[dict]:
     out = []
     for check_id, value, monomial, expected in cases:
         got = value.coeff_of(monomial)
-        out.append(
-            {
-                "id": check_id,
-                "monomial": monomial,
-                "expected": expected,
-                "got": int(got) if got.denominator == 1 else str(got),
-                "status": "PASS" if got == expected else "FAIL",
-            }
-        )
+        shown = int(got) if got.denominator == 1 else str(got)
+        out.append(_check(check_id, expected, shown, got == expected, monomial=monomial))
     return out
 
 
@@ -169,14 +168,7 @@ def _rank_checks(n: int, swap_uv: bool, check_remark: bool) -> list[dict]:
     for check_id, cls, side, (k, a, b), op, value in cases:
         got = map_rank(classes[cls], side, SpaceDescriptor(n, k, a, b))
         ok = got >= value if op == ">=" else got == value
-        out.append(
-            {
-                "id": check_id,
-                "expected": f"{op} {value}",
-                "got": got,
-                "status": "PASS" if ok else "FAIL",
-            }
-        )
+        out.append(_check(check_id, f"{op} {value}", got, ok))
     return out
 
 
@@ -236,37 +228,33 @@ def _bases(n: int) -> dict[str, list[str]]:
     return bases
 
 
-@contextmanager
-def _stage(n: int, name: str):
-    """Re-raise a failure inside the block as an internal error naming n and the stage."""
+def _staged(n: int, name: str, run, *args):
+    """Return ``run(*args)``; re-raise a failure as an internal error naming n and the stage."""
     try:
-        yield
+        return run(*args)
     except Exception as exc:
         raise RuntimeError(f"n={n}, stage {name}: {exc!r}") from exc
 
 
 def _verify_one(n: int, cfg: RunConfig) -> dict:
-    result: dict = {"n": n}
-    with _stage(n, "tables"):
-        result["tables"], result["palindromes"] = _table_results(n)
-    with _stage(n, "oracle"):
-        result["oracle"] = _oracle_results(n)
-    with _stage(n, "coefficients"):
-        result["coefficients"] = _coefficient_checks(n)
-    with _stage(n, "ranks"):
-        result["ranks"] = _rank_checks(n, cfg.swap_uv, cfg.check_remark)
-    with _stage(n, "theorem"):
-        result["theorem"] = _theorem_result(n, cfg.check_remark, cfg.swap_uv)
+    tables, palindromes = _staged(n, "tables", _table_results, n)
+    result: dict = {
+        "n": n,
+        "tables": tables,
+        "palindromes": palindromes,
+        "oracle": _staged(n, "oracle", _oracle_results, n),
+        "coefficients": _staged(n, "coefficients", _coefficient_checks, n),
+        "ranks": _staged(n, "ranks", _rank_checks, n, cfg.swap_uv, cfg.check_remark),
+        "theorem": _staged(n, "theorem", _theorem_result, n, cfg.check_remark, cfg.swap_uv),
+    }
     if cfg.print_bases:
-        with _stage(n, "bases"):
-            result["bases"] = _bases(n)
+        result["bases"] = _staged(n, "bases", _bases, n)
 
     ok = (
         all(t["match"] for t in result["tables"].values())
         and result["palindromes"]
         and result["oracle"]["all_match"]
-        and all(c["status"] == "PASS" for c in result["coefficients"])
-        and all(c["status"] == "PASS" for c in result["ranks"])
+        and all(c["status"] == "PASS" for c in result["coefficients"] + result["ranks"])
         and result["theorem"]["status"] == "PASS"
     )
     result["verdict"] = "PASS" if ok else "FAIL"
@@ -292,6 +280,7 @@ def _oracle_extension(n_from: int, n_to: int) -> list[dict]:
 def run_verify(cfg: RunConfig) -> dict:
     from . import dimformulas
 
+    _check_config(cfg)
     ns = range(cfg.n_min, cfg.n_max + 1)
     per_n = [_verify_one(n, cfg) for n in ns]
 
@@ -344,7 +333,7 @@ def run_verify(cfg: RunConfig) -> dict:
     ) else "FAIL"
     return {
         "version": REPORT_VERSION,
-        "config": asdict(cfg),
+        "config": cfg._asdict(),
         "per_n": per_n,
         "oracle_tables": oracle_tables,
         "warnings": warnings,
@@ -353,13 +342,12 @@ def run_verify(cfg: RunConfig) -> dict:
 
 
 def _verify_text(report: dict) -> str:
-    lines = []
     cfg = report["config"]
-    lines.append(
+    lines = [
         f"verify n={cfg['n_min']}..{cfg['n_max']} "
         f"check_remark={str(cfg['check_remark']).lower()} "
         f"swap_uv={str(cfg['swap_uv']).lower()}"
-    )
+    ]
     for r in report["per_n"]:
         n = r["n"]
         table_ok = all(t["match"] for t in r["tables"].values())
@@ -396,6 +384,8 @@ def _verify_text(report: dict) -> str:
 
 
 def _verify_csv(report: dict) -> str:
+    import json
+
     rows = ["section,n,id,expected,got,status"]
 
     def add(section, n, check_id, expected, got, status):
@@ -427,9 +417,16 @@ def _verify_csv(report: dict) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _json(payload: dict) -> str:
+    """``payload`` as the reports' JSON: two-space indent and a final newline."""
+    import json
+
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return _json(report)
     if fmt == "csv":
         return _verify_csv(report)
     return _verify_text(report)
@@ -438,14 +435,12 @@ def render_report(report: dict, fmt: str) -> str:
 def cmd_table(which: str, n: int, fmt: str) -> str:
     entry = _table_entry(which, n)
     if fmt == "json":
-        return json.dumps({"table": which, "n": n, **entry}, indent=2) + "\n"
+        return _json({"table": which, "n": n, **entry})
     formula_s = "(" + ",".join(map(str, entry["formula"])) + ")"
     raw_s = "(" + ",".join(map(str, entry["raw"])) + ")"
     mark = "OK" if entry["match"] else "MISMATCH"
     if fmt == "csv":
-        rows = ["table,n,formula,raw,match"]
-        rows.append(f"{which},{n},\"{formula_s}\",\"{raw_s}\",{mark}")
-        return "\n".join(rows) + "\n"
+        return f'table,n,formula,raw,match\n{which},{n},"{formula_s}","{raw_s}",{mark}\n'
     return f"table {which} n={n}\n{formula_s} | {raw_s} | {mark}\n"
 
 
@@ -464,7 +459,7 @@ def cmd_invariants(n: int, k: int, a: int, b: int, print_bases: bool, fmt: str) 
         }
         if print_bases:
             payload["basis"] = [v.render() for v in basis.vectors]
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload)
     lines = [f"dim {basis.dim}"]
     if untested:
         lines.append("note: leg counts above 1 are outside the validated paths (untested)")
@@ -482,14 +477,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the full verification battery")
-    p_verify.add_argument("--n-min", type=int, default=RunConfig.n_min)
-    p_verify.add_argument("--n-max", type=int, default=RunConfig.n_max)
-    p_verify.add_argument("--oracle-n-max", type=int, default=RunConfig.oracle_n_max)
-    p_verify.add_argument("--format", choices=("text", "csv", "json"), default=RunConfig.format)
-    p_verify.add_argument("--output", default=None)
+    p_verify.add_argument("--n-min", type=int)
+    p_verify.add_argument("--n-max", type=int)
+    p_verify.add_argument("--oracle-n-max", type=int)
+    p_verify.add_argument("--format", choices=("text", "csv", "json"))
+    p_verify.add_argument("--output")
     p_verify.add_argument("--check-remark", action="store_true")
     p_verify.add_argument("--swap-uv", action="store_true")
     p_verify.add_argument("--print-bases", action="store_true")
+    p_verify.set_defaults(**RunConfig()._asdict())
 
     p_table = sub.add_parser("table", help="render one dimension table")
     p_table.add_argument("which", choices=TABLES)
@@ -525,7 +521,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
+            cfg = RunConfig(**{name: getattr(args, name) for name in RunConfig._fields})
             report = run_verify(cfg)
             _emit(render_report(report, cfg.format), cfg.output)
             return 0 if report["verdict"] == "PASS" else 1

@@ -194,6 +194,37 @@ def test_invalid_range_exits_two(capsys):
     assert code == 2
 
 
+CSV_BASES = "--print-bases needs --format text or json; csv is a per-check summary"
+
+
+@pytest.mark.parametrize(
+    "fields, argv, message",
+    [
+        ({"n_min": 1, "n_max": 1}, "--n-min 1 --n-max 1", "need 2 <= n_min <= n_max"),
+        ({"n_min": 3, "n_max": 2}, "--n-min 3 --n-max 2", "need 2 <= n_min <= n_max"),
+        ({"oracle_n_max": 3}, "--oracle-n-max 3", "oracle_n_max must be at least n_max"),
+        ({"format": "csv", "print_bases": True}, "--format csv --print-bases", CSV_BASES),
+        # argparse's choices keep an unknown format from reaching main's config.
+        ({"format": "xml"}, None, "unknown format 'xml'"),
+    ],
+)
+def test_bad_verify_configs_are_rejected_before_any_work(
+    monkeypatch, capsys, fields, argv, message
+):
+    import equivext.cli as cli_mod
+
+    def forbidden(*args):
+        raise AssertionError("_verify_one ran")
+
+    monkeypatch.setattr(cli_mod, "_verify_one", forbidden)
+    with pytest.raises(ValueError) as err:
+        run_verify(RunConfig(**fields))
+    assert str(err.value) == message
+    if argv is not None:
+        assert main(["verify", *argv.split()]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_unknown_flags_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--bogus"])
@@ -448,16 +479,19 @@ def _python(*args) -> subprocess.CompletedProcess:
     )
 
 
-# Runs one command line, then writes the loaded module names to stderr.
+# Runs one command line, then writes the loaded module names to stderr. The
+# names are read before json is imported to write them.
 FOOTPRINT = textwrap.dedent(
     """
-    import json, sys
+    import sys
     from equivext.cli import main
     try:
         code = main(sys.argv[1:])
     except SystemExit as exit:
         code = exit.code
-    sys.stderr.write(json.dumps([code, sorted(sys.modules)]))
+    modules = sorted(sys.modules)
+    import json
+    sys.stderr.write(json.dumps([code, modules]))
     """
 )
 
@@ -480,6 +514,10 @@ FOOTPRINT = textwrap.dedent(
             {"characters", "chase", "dimformulas", "linalg", "patterns", "spaces", "symgroup",
              "yoneda"},
         ),
+        (
+            ["table", "ext_G_G", "--n", "2"],
+            {"characters", "dimformulas", "linalg", "patterns", "spaces", "symgroup"},
+        ),
     ],
 )
 def test_each_command_loads_only_the_layers_it_runs(argv, package):
@@ -489,6 +527,8 @@ def test_each_command_loads_only_the_layers_it_runs(argv, package):
     loaded = {m.split(".", 1)[1] for m in modules if m.startswith("equivext.")}
     assert loaded == {"cli"} | package
     assert "concurrent.futures" not in modules
+    if argv == ["--help"]:
+        assert not {"dataclasses", "inspect", "json"} & set(modules)
 
 
 def test_verify_report_lists_oracle_rows_past_the_verified_range(capsys):
