@@ -7,21 +7,19 @@ Exactness means dim(node_i) = rank(arrow into i) + rank(arrow out of i)
 at every node; ``solve`` propagates this relation to a fixpoint and flags
 contradictions instead of raising.
 
-``verify_theorem`` replays the full argument that pins the dimension of
-the degree-1 self-extension space of the distinguished extension to 2:
-it computes the needed composition ranks exactly, chases the three
-relevant long exact sequences, and records every step in a log. The two
-commuting-square transfers are consumed as documented logical steps with
-machine-checked numeric inputs, exactly where the argument needs them.
+``replay`` re-runs the full argument that pins the dimension of the
+degree-1 self-extension space of the distinguished extension to 2, on
+numbers certified elsewhere: verify's closed-form tables and the ranks
+of its rank battery. It chases the three relevant long exact sequences
+and records every step in a log. The two commuting-square transfers are
+consumed as documented logical steps with machine-checked numeric
+inputs, exactly where the argument needs them. ``verify_theorem``
+computes those numbers and calls ``replay``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from .dimformulas import ext_G_G, ext_G_OP, h_G, h_OP
-from .spaces import SpaceDescriptor
-from .yoneda import build_class, map_rank
 
 
 @dataclass
@@ -170,30 +168,41 @@ class TheoremReport:
         return all(s.passed for s in self.steps)
 
 
-def top_row_problem(n: int, push_ranks: dict[int, int], degrees: int) -> ChaseProblem:
+def top_row_problem(h_G: list, h_OP: list, push_ranks: dict, degrees: int) -> ChaseProblem:
     """The long exact sequence linking the graded pieces of the extension
-    to those of its two ends, with the connecting ranks supplied."""
-    hg = h_G(n).dims + (0,) * 4
-    hop = h_OP(n).dims + (0,) * 4
+    to those of its two ends, whose tables in degrees 0..2n are ``h_G``
+    and ``h_OP``, with the connecting ranks supplied."""
     nodes = [
         Node(f"deg{d}:{part}", dim)
         for d in range(degrees)
-        for part, dim in (("first", hg[d]), ("middle", None), ("last", hop[d]))
+        for part, dim in (("first", h_G[d]), ("middle", None), ("last", h_OP[d]))
     ]
     # Per degree: first -> middle, middle -> last, then the connecting map of degree d.
     ranks: list[int | None] = [0]
     for d in range(degrees):
         ranks += [None, None, push_ranks.get(d)]
-    if degrees == 2 * n + 1:
+    if degrees == len(h_G):
         ranks[-1] = 0
     return ChaseProblem(nodes, ranks)
 
 
 def verify_theorem(n: int, check_remark: bool = False, swap_uv: bool = False) -> TheoremReport:
+    """:func:`replay` on the closed forms and on the ranks of the rank battery."""
+    from .cli import TABLE_ORDER, _rank_checks
+    from .dimformulas import formula_table
+
+    dims = {family: list(formula_table(family, n).dims) for family in TABLE_ORDER}
+    ranks = {c["id"]: c["got"] for c in _rank_checks(n, swap_uv, check_remark)}
+    return replay(n, dims, ranks, check_remark)
+
+
+def replay(n: int, dims: dict, ranks: dict, check_remark: bool = False) -> TheoremReport:
     """Replay of the rank and dimension bookkeeping certifying ext1 = 2.
 
-    Raises :class:`TheoremFailure` on the first failing step; the failing
-    step id and the log so far ride along on the exception.
+    ``dims`` holds each table family in degrees 0..2n, ``ranks`` the rank
+    battery's ranks by id. Raises :class:`TheoremFailure` on the first
+    failing step; the failing step id and the log so far ride along on
+    the exception.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -205,14 +214,12 @@ def verify_theorem(n: int, check_remark: bool = False, swap_uv: bool = False) ->
         if not passed:
             raise TheoremFailure(step, steps)
 
-    theta = build_class("theta(u)" if swap_uv else "theta(v)", n)
-
     # Connecting ranks of the first row: even degrees carry the only
     # nonzero sources, and each must inject into the next graded piece.
     even_range = range(n) if check_remark else range(2)
     push_ranks: dict[int, int] = {}
     for i in even_range:
-        push_rank = map_rank(theta, "push", SpaceDescriptor(n, 2 * i, 0, 0))
+        push_rank = ranks[f"push-H{2 * i}"]
         push_ranks[2 * i] = push_rank
         record(
             f"push-even-{2 * i}",
@@ -222,7 +229,7 @@ def verify_theorem(n: int, check_remark: bool = False, swap_uv: bool = False) ->
         )
 
     degrees = 2 * n + 1 if check_remark else 4
-    top = solve(top_row_problem(n, push_ranks, degrees))
+    top = solve(top_row_problem(dims["h_G"], dims["h_OP"], push_ranks, degrees))
     record(
         "top-chase",
         "first-row chase solves the graded dimensions of the extension",
@@ -253,10 +260,10 @@ def verify_theorem(n: int, check_remark: bool = False, swap_uv: bool = False) ->
         "alpha-H2-inj",
         "degree-2 inclusion map of the first row has full rank",
         alpha2_rank,
-        alpha2_rank == h_G(n)[2],
+        alpha2_rank == dims["h_G"][2],
     )
 
-    ext1_rank = map_rank(theta, "push", SpaceDescriptor(n, 1, 1, 0))
+    ext1_rank = ranks["push-ext1-G-OP"]
     record(
         "push-ext1",
         "composition with theta is injective on the 2-dimensional dual-leg line",
@@ -264,8 +271,7 @@ def verify_theorem(n: int, check_remark: bool = False, swap_uv: bool = False) ->
         ext1_rank == 2,
     )
 
-    egg = ext_G_G(n).dims
-    egop = ext_G_OP(n).dims
+    egg, egop = dims["ext_G_G"], dims["ext_G_OP"]
     bottom = solve(
         ChaseProblem(
             nodes=[
@@ -300,7 +306,7 @@ def verify_theorem(n: int, check_remark: bool = False, swap_uv: bool = False) ->
         alpha1_rank == egg[1] == bottom.dim_of("ext1(G,M)"),
     )
 
-    pull_rank = map_rank(theta, "pull", SpaceDescriptor(n, 1, 1, 1))
+    pull_rank = ranks["pull-ext1-G-G"]
     record(
         "pull-nonzero",
         "precomposition with theta is nonzero on ext1(G,G)",

@@ -7,12 +7,13 @@ Subcommands:
   the coefficient and rank batteries, replay the full dimension chase,
   and emit a PASS/FAIL report (text, csv, or json). The raw dimensions
   of the tables and oracle stages come from :func:`patterns.pattern_dim`,
-  which never lists monomials. The ranks of the battery and the chase
-  come from :func:`yoneda.map_rank`: materialised bases of the source
-  spaces only, images read in the target's orbit-sum coordinates, each
-  map computed once and shared by both stages. ``--print-bases`` uses
-  materialised bases. Every invariant dimension used is checked against
-  the character oracle.
+  which never lists monomials. The ranks of the battery come from
+  :func:`yoneda.map_rank`: materialised bases of the source spaces only,
+  images read in the target's orbit-sum coordinates, each map computed
+  once per n. The chase computes no number: :func:`chase.replay` reads
+  the closed-form tables of the tables stage and the ranks of the rank
+  battery. ``--print-bases`` uses materialised bases. Every invariant
+  dimension used is checked against the character oracle.
   Exit code 0 on PASS, 1 on FAIL, 2 on usage or internal error; an
   internal error names the n and the stage (tables, oracle,
   coefficients, ranks, theorem or bases) where it happened. Warnings
@@ -196,12 +197,14 @@ def _oracle_results(n: int) -> dict:
     return {"descriptors": len(matches), "all_match": all(matches)}
 
 
-def _theorem_result(n: int, check_remark: bool, swap_uv: bool) -> dict:
-    from .chase import TheoremFailure, verify_theorem
+def _theorem_result(n: int, check_remark: bool, tables: dict, ranks: list[dict]) -> dict:
+    """The chase replayed on this n's closed-form tables and rank-battery ranks."""
+    from .chase import TheoremFailure, replay
 
-    # verify_theorem raises at the first failed step, so a returned report passed.
+    dims = {family: tables[family]["formula"] for family in TABLE_ORDER}
+    # replay raises at the first failed step, so a returned report passed.
     try:
-        theorem = verify_theorem(n, check_remark=check_remark, swap_uv=swap_uv)
+        theorem = replay(n, dims, {c["id"]: c["got"] for c in ranks}, check_remark)
     except TheoremFailure as failure:
         ext1_MM, hom_MM, h_M, steps, status = None, None, [], failure.steps, "FAIL"
     else:
@@ -244,8 +247,8 @@ def _verify_one(n: int, cfg: RunConfig) -> dict:
         "palindromes": palindromes,
         "oracle": _staged(n, "oracle", _oracle_results, n),
         "coefficients": _staged(n, "coefficients", _coefficient_checks, n),
-        "ranks": _staged(n, "ranks", _rank_checks, n, cfg.swap_uv, cfg.check_remark),
-        "theorem": _staged(n, "theorem", _theorem_result, n, cfg.check_remark, cfg.swap_uv),
+        "ranks": (ranks := _staged(n, "ranks", _rank_checks, n, cfg.swap_uv, cfg.check_remark)),
+        "theorem": _staged(n, "theorem", _theorem_result, n, cfg.check_remark, tables, ranks),
     }
     if cfg.print_bases:
         result["bases"] = _staged(n, "bases", _bases, n)

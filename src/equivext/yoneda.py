@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .characters import invariant_dim
 from .linalg import SparseMatrix, _add_into, integer_scaled, rank, rank_of_rows
@@ -290,27 +289,18 @@ def map_rank(c: DistinguishedClass, side: str, source: SpaceDescriptor) -> int:
     :func:`equivext.patterns.invariant_pattern_vector`, which raises
     unless the image is invariant, and the rank is that of those
     coordinate vectors. The source basis and the target's invariant
-    dimension are both checked against the character oracle. Memoised
-    on the class's value (not its name), ``side`` and ``source``.
+    dimension are both checked against the character oracle.
     """
-    return _map_rank(c.space, frozenset(c.value.terms.items()), side, source)
-
-
-@lru_cache(maxsize=None)
-def _map_rank(
-    c_space: SpaceDescriptor, terms: frozenset, side: str, source: SpaceDescriptor
-) -> int:
-    target = _map_target(c_space, side, source)
+    target = _map_target(c.space, side, source)
     dim, expected = pattern_dim(target), invariant_dim(target)
     if dim != expected:
         raise RuntimeError(
             f"invariant subspace of {target} has dimension {dim}, oracle {expected}"
         )
-    value = SparseVector(c_space, dict(terms))
     columns: dict[tuple, int] = {}
     rows = []
     for vec in invariant_basis(source).vectors:
-        image = compose(value, vec) if side == "push" else compose(vec, value)
+        image = compose(c.value, vec) if side == "push" else compose(vec, c.value)
         coords = invariant_pattern_vector(target, image.terms)
-        rows.append({columns.setdefault(key, len(columns)): c for key, c in coords.items()})
+        rows.append({columns.setdefault(key, len(columns)): x for key, x in coords.items()})
     return rank_of_rows(rows, len(columns))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,10 +10,20 @@ from equivext.chase import (
     ChaseProblem,
     Node,
     TheoremFailure,
+    replay,
     solve,
     top_row_problem,
     verify_theorem,
 )
+
+# The closed-form tables at n=2, in degrees 0..4.
+N2_DIMS = {
+    "h_OP": [1, 0, 1, 0, 1],
+    "h_G": [0, 2, 1, 2, 0],
+    "ext_G_OP": [0, 2, 1, 2, 0],
+    "ext_G_G": [1, 2, 5, 2, 1],
+}
+N2_RANKS = {"push-H0": 1, "push-H2": 1, "push-ext1-G-OP": 2, "pull-ext1-G-G": 1}
 
 
 def closed_problem(dims, known_ranks=None):
@@ -44,7 +59,7 @@ def test_arrow_count_validated():
 
 def test_top_row_window_n2():
     # connecting ranks 1 in degrees 0 and 2 pin the first four dimensions
-    report = solve(top_row_problem(2, {0: 1, 2: 1}, degrees=4))
+    report = solve(top_row_problem(N2_DIMS["h_G"], N2_DIMS["h_OP"], {0: 1, 2: 1}, degrees=4))
     middles = [report.dims[3 * d + 1] for d in range(4)]
     assert middles == [0, 1, 1, 1]
 
@@ -133,15 +148,9 @@ def test_theorem_replay_with_swapped_directions():
     assert report.ext1_MM == 2
 
 
-def test_failing_step_aborts_with_its_id(monkeypatch):
-    import equivext.chase as chase_mod
-
-    def fake_rank(cls, side, source):
-        return 0
-
-    monkeypatch.setattr(chase_mod, "map_rank", fake_rank)
+def test_failing_step_aborts_with_its_id():
     with pytest.raises(TheoremFailure) as err:
-        verify_theorem(2)
+        replay(2, N2_DIMS, dict.fromkeys(N2_RANKS, 0))
     assert err.value.step.step_id == "push-even-0"
     assert err.value.steps[-1] is err.value.step
 
@@ -149,3 +158,21 @@ def test_failing_step_aborts_with_its_id(monkeypatch):
 def test_rejects_small_n():
     with pytest.raises(ValueError):
         verify_theorem(1)
+
+
+def test_replay_reads_only_the_numbers_it_is_given():
+    report = replay(2, N2_DIMS, N2_RANKS)
+    assert report.steps == verify_theorem(2).steps
+    assert (report.ext1_MM, report.hom_MM, report.h_M) == (2, 1, (0, 1, 1, 1))
+    # A wrong table entry is read, not recomputed: it moves the solved h_M.
+    with pytest.raises(TheoremFailure) as err:
+        replay(2, {**N2_DIMS, "h_G": [0, 2, 2, 2, 0]}, N2_RANKS)
+    assert err.value.step.step_id == "h-M-prefix"
+
+
+def test_the_chase_loads_no_engine_module():
+    code = "import sys, equivext.chase; print(*sorted(m for m in sys.modules if 'equivext' in m))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["equivext", "equivext.chase"]

@@ -185,15 +185,6 @@ def test_exit_code_tracks_verdict(monkeypatch, capsys):
     assert code == 1
 
 
-def test_invalid_range_exits_two(capsys):
-    code = main(["verify", "--n-min", "1", "--n-max", "1"])
-    assert code == 2
-    code = main(["verify", "--n-min", "3", "--n-max", "2"])
-    assert code == 2
-    code = main(["verify", "--n-max", "4", "--oracle-n-max", "3"])
-    assert code == 2
-
-
 CSV_BASES = "--print-bases needs --format text or json; csv is a per-check summary"
 
 
@@ -291,9 +282,9 @@ def test_table_families_are_listed_alike():
 
 
 def test_a_failed_theorem_step_fails_the_report(monkeypatch, capsys):
-    import equivext.chase as chase_mod
+    import equivext.yoneda as yoneda_mod
 
-    monkeypatch.setattr(chase_mod, "map_rank", lambda *args: 0)
+    monkeypatch.setattr(yoneda_mod, "map_rank", lambda *args: 0)
     code, out = run_cli(capsys, ["verify", "--n-min", "2", "--n-max", "2", "--format", "json"])
     assert code == 1
     result = json.loads(out)["per_n"][0]
@@ -302,8 +293,8 @@ def test_a_failed_theorem_step_fails_the_report(monkeypatch, capsys):
     assert theorem["status"] == "FAIL"
     assert theorem["steps"][-1]["id"] == "push-even-0"
     assert theorem["steps"][-1]["status"] == "FAIL"
-    # The rank battery reads yoneda's map_rank, which still answers.
-    assert all(c["status"] == "PASS" for c in result["ranks"])
+    # The chase reads the battery's ranks, so the battery fails with it.
+    assert [c["status"] for c in result["ranks"]] == ["FAIL"] * 4 + ["PASS"]
     assert result["verdict"] == "FAIL"
 
 
@@ -343,15 +334,6 @@ def test_stage_failure_names_n_and_stage(monkeypatch, capsys, stage, target):
     assert code == 2
     assert err.startswith("internal error: n=2, stage " + stage + ":")
     assert "injected failure" in err
-
-
-def test_csv_rejects_print_bases(capsys):
-    code = main(["verify", "--n-min", "2", "--n-max", "2", "--print-bases", "--format", "csv"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert "--print-bases" in captured.err
 
 
 def test_csv_summary_does_not_echo_swap_uv(capsys):
@@ -411,7 +393,6 @@ def test_oracle_stage_covers_every_map_of_the_certificate(monkeypatch, n):
         return map_rank(c, side, source)
 
     monkeypatch.setattr(yoneda_mod, "map_rank", spy)
-    monkeypatch.setattr(chase_mod, "map_rank", spy)
     for check_remark in (False, True):
         for swap_uv in (False, True):
             cli_mod._rank_checks(n, swap_uv, check_remark)
@@ -471,12 +452,24 @@ def test_invariants_refuses_a_basis_the_oracle_disagrees_with(monkeypatch, capsy
     assert "has dimension" in err and "oracle" in err
 
 
-def _python(*args) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter with the package on its path."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def _python(*args, **env) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with the package on its path and ``env`` set."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, cwd=ROOT
     )
+
+
+def test_verify_bytes_do_not_depend_on_the_hash_seed():
+    command = "verify --check-remark --format json"
+    outs = {
+        seed: _python("-m", "equivext.cli", *command.split(), PYTHONHASHSEED=seed)
+        for seed in ("0", "12345")
+    }
+    assert all(proc.returncode == 0 for proc in outs.values())
+    assert outs["0"].stdout == outs["12345"].stdout
+    digest = hashlib.sha256(outs["0"].stdout.encode("utf-8")).hexdigest()
+    assert digest == json.loads(REFERENCES.read_text())[command]
 
 
 # Runs one command line, then writes the loaded module names to stderr. The

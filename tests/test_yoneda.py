@@ -506,7 +506,7 @@ def test_map_rank_checks_both_spaces_against_the_oracle(monkeypatch, wrong):
 
 
 def test_cleared_caches_rerun_the_oracle_check(monkeypatch):
-    # A memoised rank would skip the check; the helper must clear _map_rank too.
+    # A memoised rank or dimension would skip the check; no memo may outlive the helper.
     theta = build_class("theta(v)", 2)
     source = SpaceDescriptor(2, 1, 1, 0)
     map_rank(theta, "push", source)
