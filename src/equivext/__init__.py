@@ -17,12 +17,12 @@ import importlib
 # Home module -> the public names it defines.
 _HOMES = {
     "chase": "ChaseProblem ChaseReport TheoremFailure solve verify_theorem",
-    "characters": "invariant_dim",
+    "characters": "conjugacy_classes invariant_dim",
     "dimformulas": "GradedDimVector d_vector ext_G_G ext_G_OP graded_tensor h_G h_OP",
     "linalg": "Rational SparseMatrix nullspace_basis rank",
     "spaces": "InvariantBasis Monomial SpaceDescriptor SparseVector act invariant_basis "
     "parse_monomial space_dim",
-    "symgroup": "ConjugacyClass Permutation conjugacy_classes generators",
+    "symgroup": "Permutation generators",
     "yoneda": "DistinguishedClass MapOnInvariants PairingTable build_class compose "
     "map_on_invariants theta_of",
 }

@@ -16,6 +16,11 @@ representation rho plus the trivial one, so dividing by (1 + t) leaves
 rho; the wedge part of W is built on rho + rho, whose generating
 function is the square. Every leg, dual or plain, contributes the
 character of rho, (fixed points) - 1. All arithmetic is on integers.
+
+Conjugacy classes are keyed by partitions of n+1 stored in weakly
+decreasing order, listed in descending lexicographic order, so the class
+of the identity comes last. The oracle lists them itself and imports no
+module of the engine it checks.
 """
 
 from __future__ import annotations
@@ -24,10 +29,35 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .symgroup import conjugacy_classes
-
 if TYPE_CHECKING:
     from .spaces import SpaceDescriptor
+
+
+@lru_cache(maxsize=None)
+def conjugacy_classes(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(cycle type, class size) of each class of permutations of n+1 points.
+
+    A class whose cycle type lambda has m_i parts equal to i holds
+    (n+1)!/z_lambda permutations, z_lambda = prod_i i^m_i m_i!
+    (Macdonald, I.2); the sizes sum to (n+1)!.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+
+    def partitions(rest: int, most: int):
+        if rest == 0:
+            yield ()
+        for first in range(min(rest, most), 0, -1):
+            for tail in partitions(rest - first, first):
+                yield (first, *tail)
+
+    out = []
+    for lam in partitions(n + 1, n + 1):
+        z = 1
+        for part in set(lam):
+            z *= part ** lam.count(part) * math.factorial(lam.count(part))
+        out.append((lam, math.factorial(n + 1) // z))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -60,11 +90,11 @@ def wedge_character(cycle_type: tuple[int, ...]) -> tuple[int, ...]:
 def invariant_dim(s: SpaceDescriptor) -> int:
     """Dimension of the fixed subspace of W(n; k, a, b) by class averaging."""
     total = 0
-    for cls in conjugacy_classes(s.n):
-        chi = wedge_character(cls.cycle_type)
+    for cycle_type, size in conjugacy_classes(s.n):
+        chi = wedge_character(cycle_type)
         if s.k < len(chi):
-            rho = cls.cycle_type.count(1) - 1
-            total += cls.class_size * chi[s.k] * rho ** (s.a + s.b)
+            rho = cycle_type.count(1) - 1
+            total += size * chi[s.k] * rho ** (s.a + s.b)
     order = math.factorial(s.n + 1)
     if total % order or total < 0:
         raise RuntimeError(f"non-integral invariant average {total}/{order} for {s}")

@@ -2,7 +2,9 @@
 
 Each fault below is a named, deliberately wrong piece of the engine,
 injected with ``monkeypatch`` (cf. mutation analysis: DeMillo, Lipton
-and Sayward, "Hints on test data selection", IEEE Computer 1978). With
+and Sayward, "Hints on test data selection", IEEE Computer 1978); a
+fault inside a function body replaces the function with a copy whose
+source has one substring changed (:func:`patch_source`). With
 any of them, ``verify --n-min 3 --n-max 3 --check-remark`` must exit 1
 with a FAIL verdict, or exit 2 with an internal error that names the
 stage. The pattern kernels and the oracle are memoised, so every engine
@@ -10,7 +12,7 @@ memo is cleared before and after each fault: no number computed without
 the fault hides it, and none computed with it outlives it.
 """
 
-import dataclasses
+import inspect
 import json
 import re
 
@@ -36,6 +38,19 @@ def fresh_caches():
     clear_caches()
 
 
+def patch_source(monkeypatch, module, name, old, new):
+    """Patch in ``module.name`` with the one occurrence of ``old`` in its source made ``new``.
+
+    The changed source is compiled in the module's namespace, so it reads
+    the module's names as the original does.
+    """
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, (name, old)
+    defined: dict = {}
+    exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module), defined)
+    monkeypatch.setattr(module, name, defined[name])
+
+
 def orbit_sum_missing_a_term(monkeypatch):
     orbit_sum = yoneda_mod._orbit_sum
 
@@ -51,8 +66,8 @@ def class_size_off_by_one(monkeypatch):
     classes = characters_mod.conjugacy_classes
 
     def faulty(n):
-        first, *rest = classes(n)
-        return (dataclasses.replace(first, class_size=first.class_size + 1), *rest)
+        (cycle_type, size), *rest = classes(n)
+        return ((cycle_type, size + 1), *rest)
 
     monkeypatch.setattr(characters_mod, "conjugacy_classes", faulty)
 
@@ -103,6 +118,31 @@ def patterns_most_off_by_one(monkeypatch):
     monkeypatch.setattr(patterns_mod, "_patterns", faulty)
 
 
+def row_forced_slot_plus_one(monkeypatch):
+    patch_source(
+        monkeypatch, patterns_mod, "_row",
+        "choices.append([(-1, None)] if", "choices.append([(1, None)] if",
+    )
+
+
+def row_without_the_identity_term(monkeypatch):
+    patch_source(
+        monkeypatch, patterns_mod, "_row",
+        "terms = {tuple(t for t in types if t): -1}", "terms = {}",
+    )
+
+
+def row_resort_sign_flipped(monkeypatch):
+    patch_source(
+        monkeypatch, patterns_mod, "_row",
+        "(-1 if between % 2 == 0 else 1, j)", "(1 if between % 2 == 0 else -1, j)",
+    )
+
+
+def compose_pairing_scale_n(monkeypatch):
+    patch_source(monkeypatch, yoneda_mod, "compose", "scale = n + 1", "scale = n")
+
+
 FAULTS = {
     fault.__name__: fault
     for fault in (
@@ -113,7 +153,21 @@ FAULTS = {
         rank_case_value_changed,
         compose_wedge_sign_flipped,
         patterns_most_off_by_one,
+        row_forced_slot_plus_one,
+        row_without_the_identity_term,
+        row_resort_sign_flipped,
+        compose_pairing_scale_n,
     )
+}
+
+# The stage that raises, for the faults inside a function body. The
+# (1 n+1) check reads its rows from the same `_row`, so a flipped
+# re-sort sign passes it and is caught only in the ranks stage.
+STAGES = {
+    "row_forced_slot_plus_one": "tables",
+    "row_without_the_identity_term": "tables",
+    "row_resort_sign_flipped": "ranks",
+    "compose_pairing_scale_n": "ranks",
 }
 
 
@@ -124,10 +178,22 @@ def test_verify_catches_the_fault(monkeypatch, capsys, fault):
     out, err = capsys.readouterr()
     if code == 2:
         assert out == ""
-        assert err.startswith("internal error: n=3, stage ")
+        assert err.startswith(f"internal error: n=3, stage {STAGES.get(fault, '')}")
     else:
+        assert fault not in STAGES
         assert code == 1
         assert out.splitlines()[-1] == "verdict: FAIL"
+
+
+def test_an_unchanged_source_copy_passes(monkeypatch, capsys):
+    # The copies patch_source compiles behave as the originals, so each
+    # fault above is caught for its one changed substring.
+    row, compose = patterns_mod._row, yoneda_mod.compose
+    patch_source(monkeypatch, patterns_mod, "_row", "terms = {", "terms = {")
+    patch_source(monkeypatch, yoneda_mod, "compose", "scale = n + 1", "scale = n + 1")
+    assert patterns_mod._row is not row and yoneda_mod.compose is not compose
+    assert main(VERIFY) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict: PASS"
 
 
 def test_a_class_missing_an_orbit_term_fails_the_invariance_check(monkeypatch):

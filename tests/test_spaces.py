@@ -216,9 +216,19 @@ def test_blockwise_path_matches_stacked_reference(s):
 
 
 def test_coordinates_reject_outside_vectors():
+    # The pivot coordinate alone does not decide: a zero one, or a basis
+    # vector plus a term off the span, is caught by the residue.
     basis = invariant_basis(SpaceDescriptor(2, 2, 0, 0))
-    with pytest.raises(ValueError):
-        basis.coordinates(vec(2, 2, 0, 0, {"u1^v1": 1}))
+    assert [m.render() for m in basis.pivots] == ["u1^v1"]
+    half = Fraction(1, 2)
+    for terms in (
+        {"u1^v1": 1},
+        {"u1^v2": 1},
+        {"u1^v1": 1, "u1^v2": half, "u2^v1": half, "u2^v2": 1, "u1^u2": 1},
+    ):
+        with pytest.raises(ValueError, match="vector is not in the invariant subspace"):
+            basis.coordinates(vec(2, 2, 0, 0, terms))
+    assert basis.coordinates(basis.vectors[0]) == [1]
 
 
 @st.composite
