@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import os
@@ -12,43 +11,9 @@ from equivext.characters import conjugacy_classes, invariant_dim, wedge_characte
 from equivext.cli import RANK_CASES, TABLE_ORDER, _family_spaces
 from equivext.dimformulas import TABLE_FAMILIES, formula_table
 from equivext.spaces import SpaceDescriptor, invariant_basis
-from equivext.symgroup import Permutation
 from equivext.yoneda import _map_target
 
-from support import cycle_type
-
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def test_classes_of_smallest_groups():
-    assert conjugacy_classes(1) == (((2,), 1), ((1, 1), 1))
-    assert conjugacy_classes(2) == (((3,), 2), ((2, 1), 3), ((1, 1, 1), 1))
-
-
-def test_cycle_types_in_descending_lex_order():
-    cycle_types = [lam for lam, _ in conjugacy_classes(3)]
-    assert cycle_types == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-
-
-def test_classes_against_brute_force_enumeration_n4():
-    classes = conjugacy_classes(4)
-    assert len(classes) == 7
-    assert sum(size for _, size in classes) == 120
-    buckets: dict[tuple[int, ...], int] = {}
-    for images in itertools.permutations(range(1, 6)):
-        lam = cycle_type(Permutation(images))
-        buckets[lam] = buckets.get(lam, 0) + 1
-    assert dict(classes) == buckets
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_class_sizes_sum_to_group_order(n):
-    assert sum(size for _, size in conjugacy_classes(n)) == math.factorial(n + 1)
-
-
-def test_classes_reject_n_zero():
-    with pytest.raises(ValueError):
-        conjugacy_classes(0)
 
 
 def test_standard_character_values_n2():
