@@ -8,11 +8,16 @@ Subcommands:
   and emit a PASS/FAIL report (text, csv, or json). The raw dimensions
   of the tables and oracle stages come from :func:`patterns.pattern_dim`,
   which never lists monomials. The ranks of the battery come from
-  :func:`yoneda.map_rank`: materialised bases of the source spaces only,
-  images read in the target's orbit-sum coordinates, each map computed
-  once per n. The chase computes no number: :func:`chase.replay` reads
-  the closed-form tables of the tables stage and the ranks of the rank
-  battery. ``--print-bases`` uses materialised bases. Every invariant
+  :func:`yoneda.map_rank`, which builds no basis: each image is read in
+  the target's orbit-sum coordinates at two monomials per orbit, from
+  the few source terms that reach them, and each map is computed once
+  per n. The remark's sources W(n; 2i, 0, 0) are omega^i in closed form;
+  only the two sources with legs are written out on monomials. The
+  published coefficients are read the same way, one monomial each,
+  without composing whole products. The chase computes no number:
+  :func:`chase.replay` reads the closed-form tables of the tables stage
+  and the ranks of the rank battery. ``--print-bases`` uses
+  materialised bases. Every invariant
   dimension used is checked against the character oracle.
   Exit code 0 on PASS, 1 on FAIL, 2 on usage or internal error; an
   internal error names the n and the stage (tables, oracle,
@@ -112,35 +117,26 @@ def _check(check_id: str, expected, got, ok: bool, **first) -> dict:
 
 
 def _coefficient_checks(n: int) -> list[dict]:
-    from .yoneda import build_class, compose
+    from .spaces import parse_monomial
+    from .yoneda import build_class, image_at
 
-    theta = build_class("theta(v)", n)
-    omega = build_class("omega", n)
-    phi_v = build_class("phi(v)", n)
-    phi_u = build_class("phi(u)", n)
-    xi = build_class("xi", n)
-    # The published values; the xi.theta one needs the literal table
-    # contraction (the other three involve no contraction at all).
+    theta, omega, phi_v, phi_u, xi = (
+        build_class(name, n) for name in ("theta(v)", "omega", "phi(v)", "phi(u)", "xi")
+    )
+    # The published values, each the coefficient of a product x.y at one
+    # monomial; the xi.theta one needs the literal table contraction (the
+    # other three involve no contraction at all).
     cases = [
-        ("theta.omega", compose(theta.value, omega.value), "u1^v1^v2|e2", 3),
-        ("theta.phi_v", compose(theta.value, phi_v.value), "v1^v2|d1|e2", 3),
-        ("theta.phi_u", compose(theta.value, phi_u.value), "u1^v1|d1|e1", 4),
-        (
-            "xi.theta",
-            compose(xi.value, theta.value, pairing="table"),
-            "u1^v1|e1",
-            1 - n,
-        ),
-        (
-            "xi.theta.equivariant",
-            compose(xi.value, theta.value),
-            "u1^v1|e2",
-            -1,
-        ),
+        ("theta.omega", theta, omega, "u1^v1^v2|e2", 3, "equivariant"),
+        ("theta.phi_v", theta, phi_v, "v1^v2|d1|e2", 3, "equivariant"),
+        ("theta.phi_u", theta, phi_u, "u1^v1|d1|e1", 4, "equivariant"),
+        ("xi.theta", xi, theta, "u1^v1|e1", 1 - n, "table"),
+        ("xi.theta.equivariant", xi, theta, "u1^v1|e2", -1, "equivariant"),
     ]
     out = []
-    for check_id, value, monomial, expected in cases:
-        got = value.coeff_of(monomial)
+    for check_id, x, y, monomial, expected, pairing in cases:
+        m = parse_monomial(monomial)
+        got = image_at(x.value, "push", y.space, y.value.coeff, [m], pairing).get(m, 0)
         shown = int(got) if got.denominator == 1 else str(got)
         out.append(_check(check_id, expected, shown, got == expected, monomial=monomial))
     return out

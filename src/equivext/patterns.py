@@ -46,10 +46,11 @@ Dual and plain legs are acted on alike, so a block's kernel depends on
 (n, p, q, a + b) only and is memoised on that key. The kernel is the one
 source of invariants: :func:`pattern_dim` counts it,
 :func:`equivext.spaces.invariant_basis` expands it to monomials and
-checks the result on its integer action tables, and
-:func:`invariant_pattern_vector` reads a vector of monomials back in
-orbit-sum coordinates, checking that it is an invariant. Both read a
-monomial's block, pattern and orbit-sum sign through :func:`pattern_of`.
+checks the result on its integer action tables, and :func:`read_orbits`
+reads an image back in orbit-sum coordinates from its coefficients at
+two monomials per orbit (:func:`orbit_readings`), checking the readings
+against each other and the result against the kernel. A monomial's
+block, pattern and orbit-sum sign are read through :func:`pattern_of`.
 
 >>> from equivext.spaces import SpaceDescriptor
 >>> [pattern_dim(SpaceDescriptor(n=4, k=k, a=1, b=1)) for k in range(9)]
@@ -58,8 +59,6 @@ monomial's block, pattern and orbit-sum sign through :func:`pattern_of`.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -284,63 +283,100 @@ def _kernel(n: int, p: int, q: int, slots: int) -> Kernel:
     return [{columns[j]: c for j, c in vec.items()} for vec in kernel]
 
 
-def _orbit_size(pattern: tuple[int, ...], n: int) -> int:
-    """Number of monomials in the orbit of a consistent pattern: n!/((n-t)! m!).
+def _orbits(p: int, q: int, legs: int, most: int):
+    """Every pattern with p u-factors, q v-factors and the leg bits ``legs``, and its consistency.
 
-    t is the number of types and m the number of leg-free types carrying
-    both a u- and a v-factor, the only types that can repeat.
+    As :func:`_patterns`, whose order fixes the kernels' columns, but with
+    any number of leg-free u-only and v-only types; at most ``most``
+    types. Yields (pattern, consistent).
     """
-    return math.perm(n, len(pattern)) // math.factorial(pattern.count(_U | _V))
+    for blocks in _set_partitions(legs):
+        for flags in product(range(4), repeat=len(blocks)):
+            typed = [block | f for block, f in zip(blocks, flags)]
+            rp = p - sum(f >> 1 for f in flags)
+            rq = q - sum(f & 1 for f in flags)
+            for both in range(min(rp, rq) + 1):
+                x, y = rp - both, rq - both
+                if len(typed) + x + y + both <= most:
+                    pattern = sorted(typed + [_U] * x + [_V] * y + [_U | _V] * both)
+                    yield tuple(pattern), x < 2 and y < 2
 
 
-def invariant_pattern_vector(s: SpaceDescriptor, terms: dict) -> dict[tuple, int]:
-    """An invariant of ``s`` in orbit-sum coordinates, checked, in integers.
+def _representative(types: tuple[int, ...], a: int, b: int) -> tuple[tuple, tuple, tuple]:
+    """The monomial whose index j holds ``types[j - 1]``, as (wedge, duals, legs).
 
-    ``terms`` maps monomials of ``s`` to rationals; it is scaled to
-    integers by the lcm of its denominators. Returns the coefficient of
-    each orbit sum, keyed by (number of u-factors, pattern). Raises
-    ``ValueError`` unless ``terms`` is fixed by the whole group:
-
-    * every monomial's pattern is consistent, and its coefficient times
-      its :func:`pattern_of` sign is the same on the whole pattern;
-    * each pattern has its full orbit of monomials, so ``terms`` is
-      exactly a combination of orbit sums, that is S_n-invariant;
-    * each block's combination reduces to zero against the block's
-      pattern kernel, at each vector's last pattern in :func:`_patterns`
-      order, where no other vector is nonzero, so it lies in the invariants.
-
-    >>> from equivext.spaces import SpaceDescriptor, invariant_basis
-    >>> s = SpaceDescriptor(n=2, k=2, a=0, b=0)
-    >>> omega = invariant_basis(s).vectors[0]
-    >>> omega.render()
-    'u1^v1 + 1/2*u1^v2 + 1/2*u2^v1 + u2^v2'
-    >>> invariant_pattern_vector(s, omega.terms)  # types: 1 = v only, 2 = u only, 3 = both
-    {(1, (1, 2)): 1, (1, (3,)): 2}
+    The inverse of :func:`pattern_of`'s reading; of the a + b leg slots,
+    the first ``a`` are dual legs.
     """
-    n, legs = s.n, ((1 << (s.a + s.b)) - 1) * _LEG
-    _, ints = integer_scaled(terms)
-    blocks: dict[int, dict[tuple[int, ...], int]] = {}  # p -> pattern -> coefficient
-    count: Counter = Counter()
-    for m, c in ints.items():
-        p, pattern, sign = pattern_of(m, n)
-        if blocks.setdefault(p, {}).setdefault(pattern, c * sign) != c * sign:
+    at = list(enumerate(types, 1))
+    wedge = tuple(("u", j) for j, t in at if t & _U) + tuple(("v", j) for j, t in at if t & _V)
+    slots = [j for s in range(a + b) for j, t in at if t & _LEG << s]
+    return wedge, tuple(slots[:a]), tuple(slots[a:])
+
+
+def orbit_readings(s: SpaceDescriptor, p: int) -> list[tuple[tuple[int, ...], tuple, tuple, int]]:
+    """Two representative monomials of each orbit of the block of ``s`` with p u-factors.
+
+    One (pattern, forward, reverse, sign) per orbit. ``forward`` numbers
+    the pattern's types 1, 2, ... in sorted order, so its coefficient in
+    the orbit sum is 1; ``reverse`` numbers them the other way round, and
+    ``sign`` is its coefficient there (:func:`_canonical`). An
+    inconsistent orbit has ``sign`` 0: every invariant vanishes on it.
+    The monomials are (wedge, duals, legs), as
+    :class:`equivext.spaces.Monomial` takes them.
+
+    >>> from equivext.spaces import SpaceDescriptor
+    >>> for pattern, forward, reverse, sign in orbit_readings(SpaceDescriptor(2, 2, 0, 0), 1):
+    ...     print(pattern, forward[0], reverse[0], sign)  # types: 1 = v only, 2 = u only, 3 = both
+    (1, 2) (('u', 2), ('v', 1)) (('u', 1), ('v', 2)) 1
+    (3,) (('u', 1), ('v', 1)) (('u', 1), ('v', 1)) 1
+    """
+    out = []
+    for pattern, consistent in _orbits(p, s.k - p, ((1 << (s.a + s.b)) - 1) * _LEG, s.n):
+        reverse = pattern[::-1]
+        sign = _canonical(reverse)[1] if consistent else 0
+        forward_m, reverse_m = (_representative(t, s.a, s.b) for t in (pattern, reverse))
+        out.append((pattern, forward_m, reverse_m, sign))
+    return out
+
+
+def read_orbits(s: SpaceDescriptor, p: int, readings, terms: dict) -> dict[tuple, Fraction]:
+    """An invariant of the block of ``s`` with p u-factors in orbit-sum coordinates, checked.
+
+    ``readings`` are the block's :func:`orbit_readings`, with each
+    monomial keyed as in ``terms``, which maps monomials to coefficients
+    (absent means 0). A consistent pattern's coordinate is the
+    coefficient at its forward monomial. Raises ``ValueError`` unless:
+
+    * each consistent orbit's reverse coefficient is ``sign`` times its
+      forward one, and both coefficients of an inconsistent orbit are 0;
+    * the coordinates reduce to zero against the block's pattern kernel,
+      at each vector's last pattern in :func:`_patterns` order, where no
+      other vector is nonzero, so they lie in the invariants.
+
+    Only the two monomials of each orbit are read, so these checks do not
+    prove ``terms`` invariant; they catch a wrong image of a map that is
+    equivariant by construction.
+    """
+    coords: dict[tuple[int, ...], Fraction] = {}
+    for pattern, forward, reverse, sign in readings:
+        x, y = terms.get(forward, 0), terms.get(reverse, 0)
+        if not sign and (x or y):
+            raise ValueError(f"nonzero coefficient on an inconsistent orbit of {s}")
+        if y != (x if sign > 0 else -x):
             raise ValueError(f"coefficients vary on an orbit of {s}")
-        count[p, pattern] += 1
-    for p, coeffs in blocks.items():
-        order = {pattern: j for j, pattern in enumerate(_patterns(p, s.k - p, legs, n))}
-        for pattern in coeffs:
-            if pattern not in order:
-                raise ValueError(f"nonzero coefficient on an inconsistent orbit of {s}")
-            if count[p, pattern] != _orbit_size(pattern, n):
-                raise ValueError(f"incomplete orbit in {s}")
-        residue = dict(coeffs)
-        for vec in block_kernel(s, p):
-            coord = residue.get(max(vec, key=order.__getitem__))
-            if coord:
-                _add_into(residue, vec.items(), -coord)
-        if residue:
-            raise ValueError(f"orbit combination outside the invariants of {s}")
-    return {(p, pattern): c for p, coeffs in blocks.items() for pattern, c in coeffs.items()}
+        if x:
+            coords[pattern] = x
+    legs = ((1 << (s.a + s.b)) - 1) * _LEG
+    order = {pattern: j for j, pattern in enumerate(_patterns(p, s.k - p, legs, s.n))}
+    residue = dict(coords)
+    for vec in block_kernel(s, p):
+        coord = residue.get(max(vec, key=order.__getitem__))
+        if coord:
+            _add_into(residue, vec.items(), -coord)
+    if residue:
+        raise ValueError(f"orbit combination outside the invariants of {s}")
+    return coords
 
 
 def pattern_dim(s: SpaceDescriptor) -> int:

@@ -28,12 +28,12 @@ wedges of the checked vectors, and dropped with the block. Reduced
 echelon bases are unique, so the output is reproducible bit for bit no
 matter how the kernel was obtained.
 
-This module materialises invariant vectors, which composition, the
-sources of the rank battery, ``invariants`` and printed bases need.
-Callers that need only a dimension use
-:func:`equivext.patterns.pattern_dim`, and the rank battery reads its
-images with :func:`equivext.patterns.invariant_pattern_vector`; neither
-lists the monomials of a target space. Each basis :func:`invariant_basis`
+This module materialises invariant vectors, which ``invariants`` and
+printed bases need. Callers that need only a dimension use
+:func:`equivext.patterns.pattern_dim`. The rank battery builds no basis:
+it reads its images with :func:`equivext.patterns.read_orbits`, and only
+its sources with legs are written out on their blocks and checked here,
+by :func:`_invariant_vectors_block`. Each basis :func:`invariant_basis`
 returns is checked against the character oracle; none is memoised.
 
 >>> s = SpaceDescriptor(n=2, k=2, a=0, b=0)

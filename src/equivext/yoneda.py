@@ -38,18 +38,22 @@ Fraction(3, 1)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 
 from .characters import invariant_dim
 from .linalg import SparseMatrix, _add_into, integer_scaled, rank, rank_of_rows
-from .patterns import invariant_pattern_vector, pattern_dim
+from .patterns import _U, _V, block_kernel, orbit_readings, pattern_dim, pattern_of, read_orbits
 from .spaces import (
     InvariantBasis,
     Monomial,
     SpaceDescriptor,
     SparseVector,
+    _block,
     _exact,
+    _invariant_vectors_block,
     _normal_form,
     _sort_wedge,
     act,
@@ -93,18 +97,17 @@ def equivariant_pair(n: int, dual_index: int, index: int) -> Fraction:
     return base - Fraction(1, n + 1)
 
 
-def _orbit_sum(n: int, letters: str, a: int, b: int) -> dict[Monomial, Fraction]:
-    """Sum over i = 1..n+1 of the monomial with every index at i.
+def _orbit_sum(n: int, letters: str, a: int, b: int) -> dict[Monomial, int]:
+    """Sum over i = 1..n+1 of the monomial with every index at i, in ``int``.
 
     Its wedge part has one factor per letter of ``letters``, in that
     order, followed by ``a`` dual legs and ``b`` plain legs. The i = n+1
-    term is expanded into the stored normal form. The normal form
-    counts in ``int``; the sum is returned with ``Fraction`` coefficients.
+    term is expanded into the stored normal form.
     """
     out: dict[Monomial, int] = {}
     for i in range(1, n + 2):
         _add_into(out, _normal_form([(w, i) for w in letters], (i,) * a, (i,) * b, n).items())
-    return {m: Fraction(c) for m, c in out.items()}
+    return out
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,8 @@ def build_class(name: str, n: int) -> DistinguishedClass:
     xi:       sum_i ue_i (x) e'_i (x) e_i in W(n; 1, 1, 1)
 
     with the sum running over i = 1..n+1 and the last term expanded into
-    the stored normal form.
+    the stored normal form. Its invariance under both generators is
+    checked in integers.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -155,10 +159,12 @@ def build_class(name: str, n: int) -> DistinguishedClass:
         raise ValueError(f"unknown class name {name!r}")
     letters, a, b = _CLASS_SHAPES[name]
     space = SpaceDescriptor(n, len(letters), a, b)
-    value = SparseVector(space, _orbit_sum(n, letters, a, b))
+    terms = _orbit_sum(n, letters, a, b)
+    ints = SparseVector(space, terms)  # int coefficients, so act sums in ints
     for sigma in generators(n):
-        if act(sigma, value) != value:
+        if act(sigma, ints) != ints:
             raise RuntimeError(f"class {name} failed the invariance check")
+    value = SparseVector(space, {m: Fraction(c) for m, c in terms.items()})
     return DistinguishedClass(name, value, space)
 
 
@@ -280,27 +286,157 @@ def map_on_invariants(
     return MapOnInvariants(src, tgt, matrix, rank(matrix))
 
 
+def _omega_power(i: int, n: int) -> dict[tuple[int, ...], int]:
+    """omega^i, the i-fold product of omega under :func:`compose`, in orbit-sum coordinates.
+
+    With index n+1 eliminated, omega = sum over a, b <= n of
+    (1 + delta(a, b)) u_a ^ v_b, so its i-th power has coefficient
+    (-1)^(i(i-1)/2) i! det((I + J)[A, B]) at u_A ^ v_B, J the all-ones
+    matrix: the sign puts the u-factors first, and the 2-forms commute.
+    (I + J)[A, B] is a 0/1 partial identity plus a rank-one matrix, so
+    the minor is i + 1 when A = B, +-1 when A and B share i - 1 indices
+    (+1 at the representative of :func:`equivext.patterns._canonical`,
+    where the unshared index is the first of A and of B) and 0
+    otherwise: two patterns, (UV)^i and (V, U, (UV)^(i-1)), the second
+    only for 0 < i < n.
+    """
+    sign = -1 if i * (i - 1) // 2 % 2 else 1
+    form = {(_U | _V,) * i: sign * math.factorial(i + 1)}
+    if 0 < i < n:
+        form[(_V, _U) + (_U | _V,) * (i - 1)] = sign * math.factorial(i)
+    return form
+
+
+def _source_vectors(source: SpaceDescriptor) -> list[tuple[int, dict]]:
+    """The invariants of ``source`` in orbit-sum coordinates, as (p, vector) per block p.
+
+    W(n; 2i, 0, 0), i <= n, has one invariant, omega^i (:func:`_omega_power`); the
+    closed form must be a multiple of the one-dimensional pattern kernel
+    of its (i, i) block, else this raises. Any other source gives its
+    pattern kernels, each written out on its block's monomials and
+    checked against the integer action tables there
+    (:func:`equivext.spaces._invariant_vectors_block`), a check that does
+    not go through :func:`equivext.patterns._canonical`.
+    """
+    n, k = source.n, source.k
+    if source.a == source.b == 0 and k % 2 == 0 and k <= 2 * n:
+        i = k // 2
+        form, top = _omega_power(i, n), (_U | _V,) * i
+        kernel = block_kernel(source, i)
+        vec = kernel[0] if len(kernel) == 1 else {}
+        # form is vec scaled by form[top] / vec[top], compared in integers.
+        scaled = {pattern: c * vec.get(top, 0) for pattern, c in form.items()}
+        if {pattern: c * form[top] for pattern, c in vec.items()} != scaled:
+            raise RuntimeError(f"omega^{i} does not span the invariants of {source}")
+        return [(i, form)]
+    vectors = []
+    for p in range(max(0, k - n), min(k, n) + 1):
+        kernel = block_kernel(source, p)
+        if kernel:
+            _invariant_vectors_block(_block(source, p), kernel, source)
+            vectors += [(p, vec) for vec in kernel]
+    return vectors
+
+
+def image_at(
+    c: SparseVector, side: str, source: SpaceDescriptor, coeff, monomials, pairing="equivariant"
+) -> dict[Monomial, Fraction]:
+    """The coefficients at ``monomials`` of compose(c, y) ("push") or compose(y, c) ("pull").
+
+    y is the vector of ``source`` whose coefficient at a monomial m is
+    ``coeff(m)``. A term of the product at a monomial m pairs a term t of
+    c whose wedge factors all lie in m's and whose surviving legs are m's
+    (its plain legs for "push", its dual legs for "pull") with the
+    monomials of y that carry the rest of m's wedge and m's other legs,
+    and any indices on the legs contracted with t's. Only those terms of
+    c and y are composed, by :func:`compose` with ``pairing``, so the
+    product agrees with the whole one at ``monomials``; returns its
+    nonzero coefficients there, keyed by monomial.
+
+    >>> theta, omega = build_class("theta(v)", 2), build_class("omega", 2)
+    >>> m = Monomial((("u", 1), ("v", 1), ("v", 2)), (), (2,))
+    >>> image_at(theta.value, "push", omega.space, omega.value.coeff, [m])
+    {Monomial(wedge=(('u', 1), ('v', 1), ('v', 2)), duals=(), legs=(2,)): Fraction(3, 1)}
+    """
+    push = side == "push"
+    free = c.space.a if push else c.space.b
+    reaching: dict[tuple, dict[Monomial, Fraction]] = {}  # (wedge, surviving legs) -> terms of c
+    for t, x in c.terms.items():
+        reaching.setdefault((t.wedge, t.legs if push else t.duals), {})[t] = x
+    c_terms: dict[Monomial, Fraction] = {}
+    y_terms: dict[Monomial, Fraction] = {}
+    for m in monomials:
+        for wedge in combinations(m.wedge, c.space.k):
+            terms = reaching.get((wedge, m.legs if push else m.duals))
+            if terms is None:
+                continue
+            c_terms.update(terms)
+            rest = tuple(f for f in m.wedge if f not in wedge)
+            for loose in product(range(1, source.n + 1), repeat=free):
+                y = Monomial(rest, m.duals, loose) if push else Monomial(rest, loose, m.legs)
+                if y not in y_terms:
+                    y_terms[y] = coeff(y)
+    x = SparseVector(c.space, c_terms)
+    y = SparseVector(source, {m: v for m, v in y_terms.items() if v})
+    image = compose(x, y, pairing) if push else compose(y, x, pairing)
+    wanted = set(monomials)
+    return {m: v for m, v in image.terms.items() if m in wanted}
+
+
+def image_coordinates(c: DistinguishedClass, side: str, source: SpaceDescriptor) -> list[dict]:
+    """The images of the invariants of ``source`` under ``c``, in orbit-sum coordinates.
+
+    One dict pattern -> coordinate per vector of :func:`_source_vectors`,
+    over the target blocks the class's terms reach from the vector's
+    block. Each image is read by :func:`image_at` at the two monomials of
+    each orbit of those blocks (:func:`equivext.patterns.orbit_readings`)
+    and checked by :func:`equivext.patterns.read_orbits`. Both spaces'
+    pattern dimensions are checked against the character oracle first.
+    """
+    target = _map_target(c.space, side, source)
+    for s in (source, target):
+        dim, expected = pattern_dim(s), invariant_dim(s)
+        if dim != expected:
+            raise RuntimeError(f"invariant subspace of {s} has dimension {dim}, oracle {expected}")
+    vectors = _source_vectors(source)
+    shifts = {sum(letter == "u" for letter, _ in t.wedge) for t in c.value.terms}
+    readings = {}  # target block -> (pattern, forward, reverse, sign) per orbit
+    for block in {p + shift for p, _ in vectors for shift in shifts}:
+        readings[block] = [
+            (t, Monomial(*f), Monomial(*r), sign) for t, f, r, sign in orbit_readings(target, block)
+        ]
+    out = []
+    for p, vec in vectors:
+
+        def coeff(m: Monomial, vec=vec) -> Fraction:
+            _, pattern, sign = pattern_of(m, source.n)
+            return vec.get(pattern, 0) * sign
+
+        blocks = [p + shift for shift in shifts]
+        monomials = [m for b in blocks for _, *pair, _ in readings[b] for m in pair]
+        image = image_at(c.value, side, source, coeff, monomials)
+        coords: dict = {}
+        for block in blocks:
+            coords.update(read_orbits(target, block, readings[block], image))
+        out.append(coords)
+    return out
+
+
 def map_rank(c: DistinguishedClass, side: str, source: SpaceDescriptor) -> int:
     """Rank of composing with ``c`` on the invariants of ``source``.
 
-    The same rank as ``map_on_invariants(c, side, source).rank``, with
-    no target basis: each image of an :func:`invariant_basis` vector of
-    ``source`` is read in the target's orbit-sum coordinates by
-    :func:`equivext.patterns.invariant_pattern_vector`, which raises
-    unless the image is invariant, and the rank is that of those
-    coordinate vectors. The source basis and the target's invariant
-    dimension are both checked against the character oracle.
+    The same rank as ``map_on_invariants(c, side, source).rank``, with no
+    basis of either space: the rank of the images'
+    :func:`image_coordinates`, each read at two monomials per target
+    orbit from the few source terms that reach them. W(n; 2i, 0, 0)'s
+    invariant is omega^i in closed form, checked against its pattern
+    kernel, so the remark's sources list no monomial; any other source's
+    kernel vectors are checked on its blocks' monomials. Both spaces'
+    invariant dimensions are checked against the character oracle.
     """
-    target = _map_target(c.space, side, source)
-    dim, expected = pattern_dim(target), invariant_dim(target)
-    if dim != expected:
-        raise RuntimeError(
-            f"invariant subspace of {target} has dimension {dim}, oracle {expected}"
-        )
     columns: dict[tuple, int] = {}
-    rows = []
-    for vec in invariant_basis(source).vectors:
-        image = compose(c.value, vec) if side == "push" else compose(vec, c.value)
-        coords = invariant_pattern_vector(target, image.terms)
-        rows.append({columns.setdefault(key, len(columns)): x for key, x in coords.items()})
+    rows = [
+        {columns.setdefault(pattern, len(columns)): x for pattern, x in coords.items()}
+        for coords in image_coordinates(c, side, source)
+    ]
     return rank_of_rows(rows, len(columns))

@@ -359,7 +359,10 @@ def test_table_and_oracle_stages_enumerate_no_monomials(monkeypatch):
 
 
 def test_rank_stage_materialises_only_source_bases(monkeypatch):
+    # The remark's sources W(5; 2i, 0, 0) are omega^i in closed form; only the two
+    # sources with legs are written out on their blocks, and no basis is built.
     import equivext.cli as cli_mod
+    import equivext.yoneda as yoneda_mod
     from equivext.spaces import SpaceDescriptor
 
     listed = set()
@@ -369,12 +372,16 @@ def test_rank_stage_materialises_only_source_bases(monkeypatch):
         listed.add(s)
         return block(s, p)
 
+    def boom(s):
+        raise AssertionError(f"invariant_basis({s}) called")
+
     clear_caches()
-    monkeypatch.setattr(spaces_mod, "_block", recording)
+    for module in (spaces_mod, yoneda_mod):
+        monkeypatch.setattr(module, "_block", recording)
+        monkeypatch.setattr(module, "invariant_basis", boom)
     checks = cli_mod._rank_checks(5, False, True)
     assert [c["status"] for c in checks] == ["PASS"] * 8
-    sources = {(0, 0, 0), (2, 0, 0), (1, 1, 0), (1, 1, 1), (4, 0, 0), (6, 0, 0), (8, 0, 0)}
-    assert listed == {SpaceDescriptor(5, k, a, b) for k, a, b in sources}
+    assert listed == {SpaceDescriptor(5, 1, 1, 0), SpaceDescriptor(5, 1, 1, 1)}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -415,6 +422,18 @@ def test_verify_n7_report_bytes_are_pinned(capsys):
     code, out = run_cli(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == N7_REPORT_SHA256
+
+
+# The n=8 remark report, taken before the remark's sources were read as omega^i;
+# no benchmark workload runs n >= 6.
+N8_REPORT_SHA256 = "d17680035b027c428dc145843239257a5d25ff2a03142c13ff9466f159f48980"
+
+
+def test_verify_n8_remark_report_bytes_are_pinned(capsys):
+    argv = "verify --n-min 8 --n-max 8 --oracle-n-max 8 --check-remark --format json".split()
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == N8_REPORT_SHA256
 
 
 @pytest.mark.parametrize(

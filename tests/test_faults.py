@@ -12,6 +12,7 @@ memo is cleared before and after each fault: no number computed without
 the fault hides it, and none computed with it outlives it.
 """
 
+import __future__
 import inspect
 import json
 import re
@@ -41,13 +42,15 @@ def fresh_caches():
 def patch_source(monkeypatch, module, name, old, new):
     """Patch in ``module.name`` with the one occurrence of ``old`` in its source made ``new``.
 
-    The changed source is compiled in the module's namespace, so it reads
-    the module's names as the original does.
+    The changed source is compiled in the module's namespace, with the
+    postponed annotations every engine module declares, so it reads the
+    module's names as the original does.
     """
     source = inspect.getsource(getattr(module, name))
     assert source.count(old) == 1, (name, old)
     defined: dict = {}
-    exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module), defined)
+    flags = __future__.annotations.compiler_flag
+    exec(compile(source.replace(old, new), module.__file__, "exec", flags), vars(module), defined)
     monkeypatch.setattr(module, name, defined[name])
 
 
@@ -143,6 +146,22 @@ def compose_pairing_scale_n(monkeypatch):
     patch_source(monkeypatch, yoneda_mod, "compose", "scale = n + 1", "scale = n")
 
 
+def omega_power_coefficient_changed(monkeypatch):
+    patch_source(
+        monkeypatch, yoneda_mod, "_omega_power",
+        "math.factorial(i + 1)", "math.factorial(i + 2)",
+    )
+
+
+def reverse_reading_sign_flipped(monkeypatch):
+    patch_source(
+        monkeypatch, patterns_mod, "orbit_readings",
+        "sign = _canonical(reverse)[1]", "sign = -_canonical(reverse)[1]",
+    )
+    # yoneda binds the name at import, so it gets the faulty copy too.
+    monkeypatch.setattr(yoneda_mod, "orbit_readings", patterns_mod.orbit_readings)
+
+
 FAULTS = {
     fault.__name__: fault
     for fault in (
@@ -157,17 +176,22 @@ FAULTS = {
         row_without_the_identity_term,
         row_resort_sign_flipped,
         compose_pairing_scale_n,
+        omega_power_coefficient_changed,
+        reverse_reading_sign_flipped,
     )
 }
 
 # The stage that raises, for the faults inside a function body. The
 # (1 n+1) check reads its rows from the same `_row`, so a flipped
-# re-sort sign passes it and is caught only in the ranks stage.
+# re-sort sign passes it and is caught only in the ranks stage, where the
+# pattern reading checks each image against the target's kernel.
 STAGES = {
     "row_forced_slot_plus_one": "tables",
     "row_without_the_identity_term": "tables",
     "row_resort_sign_flipped": "ranks",
     "compose_pairing_scale_n": "ranks",
+    "omega_power_coefficient_changed": "ranks",
+    "reverse_reading_sign_flipped": "ranks",
 }
 
 
@@ -188,10 +212,14 @@ def test_verify_catches_the_fault(monkeypatch, capsys, fault):
 def test_an_unchanged_source_copy_passes(monkeypatch, capsys):
     # The copies patch_source compiles behave as the originals, so each
     # fault above is caught for its one changed substring.
-    row, compose = patterns_mod._row, yoneda_mod.compose
+    originals = patterns_mod._row, yoneda_mod.compose, yoneda_mod._omega_power
     patch_source(monkeypatch, patterns_mod, "_row", "terms = {", "terms = {")
     patch_source(monkeypatch, yoneda_mod, "compose", "scale = n + 1", "scale = n + 1")
-    assert patterns_mod._row is not row and yoneda_mod.compose is not compose
+    patch_source(monkeypatch, yoneda_mod, "_omega_power", "(i + 1)", "(i + 1)")
+    patch_source(monkeypatch, patterns_mod, "orbit_readings", "sign = ", "sign = ")
+    monkeypatch.setattr(yoneda_mod, "orbit_readings", patterns_mod.orbit_readings)
+    copies = patterns_mod._row, yoneda_mod.compose, yoneda_mod._omega_power
+    assert all(copy is not original for copy, original in zip(copies, originals))
     assert main(VERIFY) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "verdict: PASS"
 

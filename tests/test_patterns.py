@@ -221,3 +221,21 @@ def test_pattern_lists_are_memoised_until_the_caches_are_cleared():
     clear_caches()
     again = patterns_mod._patterns(2, 1, legs, 3)
     assert again == first and again is not first
+
+
+READING_SPACES = [(2, 2, 0, 0), (3, 3, 0, 1), (3, 2, 1, 1), (4, 3, 1, 0), (3, 2, 2, 0)]
+
+
+@pytest.mark.parametrize("n,k,a,b", READING_SPACES)
+def test_orbit_readings_name_every_orbit_by_two_of_its_monomials(n, k, a, b):
+    s = SpaceDescriptor(n, k, a, b)
+    for p in range(max(0, k - n), min(k, n) + 1):
+        readings = patterns_mod.orbit_readings(s, p)
+        consistent = set(patterns_mod._patterns(p, k - p, ((1 << (a + b)) - 1) * 4, n))
+        assert {pattern_of(m, n)[1] for m in _block(s, p)} == {t for t, *_ in readings}
+        for pattern, forward, reverse, sign in readings:
+            assert pattern_of(Monomial(*forward), n) == (p, pattern, 1)
+            if pattern in consistent:
+                assert pattern_of(Monomial(*reverse), n) == (p, pattern, sign)
+            else:
+                assert sign == 0 and pattern_of(Monomial(*reverse), n)[1] == pattern

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 import equivext.spaces as spaces_mod
 import equivext.yoneda as yoneda_mod
 from equivext.linalg import _add_into
-from equivext.patterns import invariant_pattern_vector
+from equivext.patterns import orbit_readings, read_orbits
 from equivext.spaces import (
     Monomial,
     SpaceDescriptor,
@@ -24,11 +25,14 @@ from equivext.yoneda import (
     build_class,
     compose,
     equivariant_pair,
+    image_at,
+    image_coordinates,
     map_on_invariants,
     map_rank,
     theta_of,
 )
 
+from rank_reference import invariant_pattern_vector, monomial_map_rank, omega_powers
 from support import clear_caches, combination, monomials
 
 
@@ -431,6 +435,15 @@ def test_map_rank_equals_the_materialised_reference_on_the_battery(n):
             assert map_rank(cls, side, source) == map_on_invariants(cls, side, source).rank
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_map_rank_equals_the_monomial_reference_on_the_battery(n):
+    # Past the materialised reference's reach; theta(v) and theta(u) are
+    # the two --swap-uv settings.
+    for cls in _battery_classes(n):
+        for side, source in _battery_maps(n):
+            assert map_rank(cls, side, source) == monomial_map_rank(cls, side, source)
+
+
 @st.composite
 def class_maps(draw):
     n = draw(st.integers(2, 4))
@@ -450,45 +463,102 @@ def class_maps(draw):
 @given(class_maps())
 def test_map_rank_equals_the_materialised_reference_on_a_sample(case):
     cls, side, source = case
-    assert map_rank(cls, side, source) == map_on_invariants(cls, side, source).rank
+    expected = map_on_invariants(cls, side, source).rank
+    assert map_rank(cls, side, source) == monomial_map_rank(cls, side, source) == expected
+
+
+@given(rational_composable_pairs(), st.sampled_from(["equivariant", "table"]), st.data())
+def test_image_at_agrees_with_the_whole_product(pair, pairing, data):
+    x, y = pair
+    whole = compose(x, y, pairing=pairing)
+    picks = data.draw(st.lists(st.sampled_from(monomials(whole.space)), max_size=4))
+    picks += list(whole.terms)[:2]
+    expected = {m: whole.terms[m] for m in picks if m in whole.terms}
+    # x after y, with x as the class (push) or y as the class (pull).
+    assert image_at(x, "push", y.space, y.coeff, picks, pairing) == expected
+    assert image_at(y, "pull", x.space, x.coeff, picks, pairing) == expected
+
+
+def _theta_after_omega_power(i, n):
+    """theta(v) after omega^i in orbit-sum coordinates; types: 1 = v, 2 = u, 3 = both, 4 = leg."""
+    sign = -1 if i * (i - 1) // 2 % 2 else 1
+    form = {(3,) * i + (1 | 4,): sign * (i + 2) * math.factorial(i)}
+    if i < n - 1:
+        form[(1,) + (3,) * i + (4,)] = (-1 if i * (i + 1) // 2 % 2 else 1) * math.factorial(i)
+        if i:
+            form[(1, 2) + (3,) * (i - 1) + (1 | 4,)] = sign * math.factorial(i)
+    return form
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_omega_powers_and_their_theta_images_have_closed_forms(n):
+    theta_v, theta_u = build_class("theta(v)", n), build_class("theta(u)", n)
+    for i, power in enumerate(omega_powers(n)):
+        source = SpaceDescriptor(n, 2 * i, 0, 0)
+        closed = yoneda_mod._omega_power(i, n)
+        read = invariant_pattern_vector(source, power.terms)
+        assert read == {(i, p): c for p, c in closed.items()}
+        image = compose(theta_v.value, power)
+        expected = _theta_after_omega_power(i, n)
+        assert invariant_pattern_vector(image.space, image.terms) == {
+            (i, p): c for p, c in expected.items()
+        }
+        assert image_coordinates(theta_v, "push", source) == [expected]
+        # The --swap-uv image, read the same way.
+        image = compose(theta_u.value, power)
+        read = invariant_pattern_vector(image.space, image.terms)
+        assert image_coordinates(theta_u, "push", source) == [{p: c for (_, p), c in read.items()}]
+    top = [_theta_after_omega_power(i, 7)[(3,) * i + (5,)] for i in range(1, 6)]
+    assert top == [3, -8, -30, 144, 840]
 
 
 def _image(n=3):
-    # theta after the degree-2 invariant: 18 monomials in W(3; 3, 0, 1), orbits of 6.
-    vec = invariant_basis(SpaceDescriptor(n, 2, 0, 0)).vectors[0]
-    return compose(build_class("theta(v)", n).value, vec)
+    # theta after omega: W(3; 3, 0, 1), block p = 1.
+    return compose(build_class("theta(v)", n).value, build_class("omega", n).value)
+
+
+def _readings(s, p):
+    return [(t, Monomial(*f), Monomial(*r), sign) for t, f, r, sign in orbit_readings(s, p)]
+
+
+def _spread_orbit(image, readings):
+    """The forward and reverse monomials of an orbit where they differ and the image is nonzero."""
+    return next((f, r) for _, f, r, _ in readings if f != r and image.coeff(f))
 
 
 def test_pattern_reading_rejects_a_perturbed_coefficient():
     image = _image()
+    readings = _readings(image.space, 1)
+    _, reverse = _spread_orbit(image, readings)
     terms = dict(image.terms)
-    first = image.sorted_terms()[0][0]
-    terms[first] += 1
+    terms[reverse] += 1
     with pytest.raises(ValueError, match="vary on an orbit"):
-        invariant_pattern_vector(image.space, terms)
+        read_orbits(image.space, 1, readings, terms)
 
 
 def test_pattern_reading_rejects_a_dropped_monomial():
     image = _image()
+    readings = _readings(image.space, 1)
+    forward, _ = _spread_orbit(image, readings)
     terms = dict(image.terms)
-    del terms[image.sorted_terms()[0][0]]
-    with pytest.raises(ValueError, match="incomplete orbit"):
-        invariant_pattern_vector(image.space, terms)
+    del terms[forward]
+    with pytest.raises(ValueError, match="vary on an orbit"):
+        read_orbits(image.space, 1, readings, terms)
 
 
 def test_pattern_reading_rejects_an_inconsistent_orbit():
     # u1^u2 has two leg-free u-only indices: its signed orbit sum is zero.
     s = SpaceDescriptor(2, 2, 0, 0)
     with pytest.raises(ValueError, match="inconsistent orbit"):
-        invariant_pattern_vector(s, {parse_monomial("u1^u2"): Fraction(1)})
+        read_orbits(s, 2, _readings(s, 2), {parse_monomial("u1^u2"): Fraction(1)})
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_pattern_reading_rejects_a_table_contraction(n):
-    # S_n-invariant, so it passes the orbit checks, but not fixed by (n n+1).
+    # S_n-invariant, so both readings of each orbit agree, but not fixed by (n n+1).
     image = compose(build_class("xi", n).value, build_class("theta(v)", n).value, pairing="table")
     with pytest.raises(ValueError, match="outside the invariants"):
-        invariant_pattern_vector(image.space, image.terms)
+        read_orbits(image.space, 1, _readings(image.space, 1), image.terms)
 
 
 @pytest.mark.parametrize("wrong", ["source", "target"])
@@ -496,11 +566,10 @@ def test_map_rank_checks_both_spaces_against_the_oracle(monkeypatch, wrong):
     theta = build_class("theta(v)", 2)
     source = SpaceDescriptor(2, 1, 1, 0)
     bad = source if wrong == "source" else SpaceDescriptor(2, 2, 1, 1)
-    # The source basis is checked where it is built, the target dimension in yoneda.
-    module = spaces_mod if wrong == "source" else yoneda_mod
-    oracle = module.invariant_dim
+    # Both pattern dimensions are checked in yoneda; no source basis is built.
+    oracle = yoneda_mod.invariant_dim
     clear_caches()
-    monkeypatch.setattr(module, "invariant_dim", lambda s: oracle(s) + (s == bad))
+    monkeypatch.setattr(yoneda_mod, "invariant_dim", lambda s: oracle(s) + (s == bad))
     with pytest.raises(RuntimeError, match="has dimension"):
         map_rank(theta, "push", source)
 
@@ -517,10 +586,17 @@ def test_cleared_caches_rerun_the_oracle_check(monkeypatch):
         map_rank(theta, "push", source)
 
 
-def test_map_rank_memo_keys_on_the_value_not_the_name():
+def test_a_class_with_the_same_name_and_another_value_gets_its_own_rank():
     theta = build_class("theta(v)", 3)
     impostor = DistinguishedClass(theta.name, theta_of(3, 0, 0), theta.space)
     source = SpaceDescriptor(3, 0, 0, 0)
     assert map_rank(theta, "push", source) == 1
     assert map_rank(impostor, "push", source) == 0
     assert map_rank(theta, "push", source) == 1
+
+
+def test_a_source_past_the_top_degree_has_rank_zero():
+    # W(2; 6, 0, 0) is zero, so omega^3 is not its invariant: the closed form is not read.
+    theta = build_class("theta(v)", 2)
+    source = SpaceDescriptor(2, 6, 0, 0)
+    assert map_rank(theta, "push", source) == map_on_invariants(theta, "push", source).rank == 0
