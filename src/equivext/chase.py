@@ -19,17 +19,31 @@ computes those numbers and calls ``replay``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+
+class _Record:
+    """Mutable fields named by ``__slots__``; compared by class and fields, unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass
-class Node:
-    name: str
-    dim: int | None
+class Node(_Record):
+    __slots__ = ("name", "dim")
+
+    def __init__(self, name: str, dim: int | None):
+        self.name, self.dim = name, dim
 
 
-@dataclass
-class ChaseProblem:
+class ChaseProblem(_Record):
     """Nodes of one exact sequence plus ranks of all arrows.
 
     ``ranks`` has length len(nodes) + 1: ranks[i] is the rank of the
@@ -38,21 +52,27 @@ class ChaseProblem:
     window whose boundary rank is unknown.
     """
 
-    nodes: list[Node]
-    ranks: list[int | None]
+    __slots__ = ("nodes", "ranks")
 
-    def __post_init__(self):
-        if len(self.ranks) != len(self.nodes) + 1:
+    def __init__(self, nodes: list[Node], ranks: list[int | None]):
+        if len(ranks) != len(nodes) + 1:
             raise ValueError("need exactly len(nodes) + 1 arrow ranks")
+        self.nodes, self.ranks = nodes, ranks
 
 
-@dataclass
-class ChaseReport:
-    names: list[str]
-    dims: list[int | None]
-    ranks: list[int | None]
-    unknowns: list[str]
-    contradiction: str | None
+class ChaseReport(_Record):
+    __slots__ = ("names", "dims", "ranks", "unknowns", "contradiction")
+
+    def __init__(
+        self,
+        names: list[str],
+        dims: list[int | None],
+        ranks: list[int | None],
+        unknowns: list[str],
+        contradiction: str | None,
+    ):
+        self.names, self.dims, self.ranks = names, dims, ranks
+        self.unknowns, self.contradiction = unknowns, contradiction
 
     @property
     def solved(self) -> bool:
@@ -130,12 +150,11 @@ def solve(p: ChaseProblem) -> ChaseReport:
     )
 
 
-@dataclass
-class TheoremStep:
-    step_id: str
-    claim: str
-    value: object
-    passed: bool
+class TheoremStep(_Record):
+    __slots__ = ("step_id", "claim", "value", "passed")
+
+    def __init__(self, step_id: str, claim: str, value: object, passed: bool):
+        self.step_id, self.claim, self.value, self.passed = step_id, claim, value, passed
 
     def as_dict(self) -> dict:
         return {
@@ -155,13 +174,15 @@ class TheoremFailure(Exception):
         self.steps = steps
 
 
-@dataclass
-class TheoremReport:
-    n: int
-    ext1_MM: int
-    hom_MM: int
-    h_M: tuple[int, ...]
-    steps: list[TheoremStep] = field(default_factory=list)
+class TheoremReport(_Record):
+    __slots__ = ("n", "ext1_MM", "hom_MM", "h_M", "steps")
+
+    def __init__(
+        self, n: int, ext1_MM: int, hom_MM: int, h_M: tuple[int, ...],
+        steps: list[TheoremStep] | None = None,
+    ):
+        self.n, self.ext1_MM, self.hom_MM, self.h_M = n, ext1_MM, hom_MM, h_M
+        self.steps = [] if steps is None else steps
 
     @property
     def passed(self) -> bool:

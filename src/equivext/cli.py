@@ -14,7 +14,8 @@ Subcommands:
   per n. The remark's sources W(n; 2i, 0, 0) are omega^i in closed form;
   only the two sources with legs are written out on monomials. The
   published coefficients are read the same way, one monomial each,
-  without composing whole products. The chase computes no number:
+  without composing whole products. Both batteries read one theta(v),
+  built and checked once per n. The chase computes no number:
   :func:`chase.replay` reads the closed-form tables of the tables stage
   and the ranks of the rank battery. ``--print-bases`` uses
   materialised bases. Every invariant
@@ -40,7 +41,9 @@ Engine layers load on first use: each function below imports what it
 runs, so ``--help`` and usage errors load no engine module and
 ``invariants`` loads only :mod:`equivext.spaces` and its dependencies.
 The same holds for :mod:`json`, which only the writers of json and csv
-output import, and ``--help`` loads neither it nor :mod:`dataclasses`.
+output import, so ``--help`` does not load it. No command loads
+:mod:`dataclasses` or :mod:`inspect`: the engine's records are
+``NamedTuple``s or ``__slots__`` classes.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .spaces import SpaceDescriptor
+    from .yoneda import DistinguishedClass
 
 REPORT_VERSION = "1.0"
 
@@ -116,13 +120,12 @@ def _check(check_id: str, expected, got, ok: bool, **first) -> dict:
     return {"id": check_id, **first, "expected": expected, "got": got, "status": status}
 
 
-def _coefficient_checks(n: int) -> list[dict]:
+def _coefficient_checks(n: int, theta: DistinguishedClass) -> list[dict]:
+    """The published coefficients; ``theta`` is theta(v) at this n."""
     from .spaces import parse_monomial
     from .yoneda import build_class, image_at
 
-    theta, omega, phi_v, phi_u, xi = (
-        build_class(name, n) for name in ("theta(v)", "omega", "phi(v)", "phi(u)", "xi")
-    )
+    omega, phi_v, phi_u, xi = (build_class(name, n) for name in ("omega", "phi(v)", "phi(u)", "xi"))
     # The published values, each the coefficient of a product x.y at one
     # monomial; the xi.theta one needs the literal table contraction (the
     # other three involve no contraction at all).
@@ -152,12 +155,15 @@ RANK_CASES = (
 )
 
 
-def _rank_checks(n: int, swap_uv: bool, check_remark: bool) -> list[dict]:
+def _rank_checks(
+    n: int, swap_uv: bool, check_remark: bool, theta_v: DistinguishedClass | None = None
+) -> list[dict]:
+    """The rank battery; ``theta_v``, theta(v) at this n, is built here if not given."""
     from .spaces import SpaceDescriptor
     from .yoneda import DistinguishedClass, build_class, map_rank, theta_of
 
-    classes = {"theta": build_class("theta(u)" if swap_uv else "theta(v)", n)}
-    classes["zero"] = DistinguishedClass("theta(0)", theta_of(n, 0, 0), classes["theta"].space)
+    theta = build_class("theta(u)", n) if swap_uv else theta_v or build_class("theta(v)", n)
+    classes = {"theta": theta, "zero": DistinguishedClass("theta(0)", theta_of(n, 0, 0), theta.space)}
     cases = list(RANK_CASES)
     if check_remark:
         cases += [(f"push-H{k}", "theta", "push", (k, 0, 0), "==", 1) for k in range(4, 2 * n, 2)]
@@ -236,14 +242,21 @@ def _staged(n: int, name: str, run, *args):
 
 
 def _verify_one(n: int, cfg: RunConfig) -> dict:
+    from .yoneda import build_class
+
     tables, palindromes = _staged(n, "tables", _table_results, n)
+    oracle = _staged(n, "oracle", _oracle_results, n)
+    # Both batteries read theta(v); it is built and checked once per n.
+    theta = _staged(n, "coefficients", build_class, "theta(v)", n)
+    coefficients = _staged(n, "coefficients", _coefficient_checks, n, theta)
+    ranks = _staged(n, "ranks", _rank_checks, n, cfg.swap_uv, cfg.check_remark, theta)
     result: dict = {
         "n": n,
         "tables": tables,
         "palindromes": palindromes,
-        "oracle": _staged(n, "oracle", _oracle_results, n),
-        "coefficients": _staged(n, "coefficients", _coefficient_checks, n),
-        "ranks": (ranks := _staged(n, "ranks", _rank_checks, n, cfg.swap_uv, cfg.check_remark)),
+        "oracle": oracle,
+        "coefficients": coefficients,
+        "ranks": ranks,
         "theorem": _staged(n, "theorem", _theorem_result, n, cfg.check_remark, tables, ranks),
     }
     if cfg.print_bases:

@@ -13,20 +13,36 @@ agreements are asserted by the verification pipeline, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 H_SURFACE = (1, 2, 1)
 
 
-@dataclass(frozen=True)
 class GradedDimVector:
-    """Non-negative dimensions indexed by cohomological degree 0..top."""
+    """Non-negative dimensions indexed by cohomological degree 0..top.
 
-    dims: tuple[int, ...]
+    Immutable, hashable and compared by ``dims``. It is not a tuple: it
+    indexes, measures and iterates over its dims.
+    """
 
-    def __post_init__(self):
-        if any(d < 0 for d in self.dims):
-            raise ValueError(f"negative entry in {self.dims}")
+    __slots__ = ("dims",)
+
+    def __init__(self, dims: tuple[int, ...]):
+        if any(d < 0 for d in dims):
+            raise ValueError(f"negative entry in {dims}")
+        object.__setattr__(self, "dims", dims)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.dims == other.dims if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dims,))
+
+    def __repr__(self) -> str:
+        return f"GradedDimVector(dims={self.dims!r})"
 
     def __getitem__(self, i: int) -> int:
         return self.dims[i]

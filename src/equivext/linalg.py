@@ -11,8 +11,8 @@ bit-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 Rational = Fraction
 
@@ -36,22 +36,26 @@ def integer_scaled(vec: dict) -> tuple[int, dict]:
     return scale, {key: c.numerator * (scale // c.denominator) for key, c in vec.items()}
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Immutable sparse matrix; only nonzero rational entries are stored."""
-
+class _SparseMatrix(NamedTuple):
     rows: int
     cols: int
     entries: dict[tuple[int, int], Fraction]
 
-    def __post_init__(self):
-        for (r, c), v in self.entries.items():
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
+
+class SparseMatrix(_SparseMatrix):
+    """Immutable sparse matrix; only nonzero rational entries are stored."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, entries: dict[tuple[int, int], Fraction]):
+        for (r, c), v in entries.items():
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
             if v == 0:
                 raise ValueError(f"stored zero entry at ({r},{c})")
             if isinstance(v, float):
                 raise TypeError(f"float entry {v!r} at ({r},{c}); entries must be exact")
+        return super().__new__(cls, rows, cols, entries)
 
     def row_dicts(self) -> list[dict[int, Fraction]]:
         out: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]

@@ -33,6 +33,14 @@ even s is fixed by w at larger s, and w = 0 once it vanishes at every
 odd s. Conjugating by S_n, the same holds for every (f n+1) with
 1 <= f <= n, graded by the slots at f.
 
+A row need not visit every preimage. In a consistent pattern only
+u|v types (a u- and a v-factor, no leg) repeat, and indices of equal
+type that no moved slot came from are interchangeable: swapping two of
+them fixes the representative and commutes with (f n+1), so it maps
+the preimages onto each other with equal signed terms. A row therefore
+takes one preimage per group of such indices, weighted by the group's
+size.
+
 The same preimage routine, written for (f n+1), gives the rows of
 ((f n+1) - I) at the orbits of the permutations fixing f and n+1. Every
 kernel vector, scaled to integers, must be sent to zero by the rows of
@@ -180,7 +188,7 @@ def _representatives(p: int, q: int, legs: int, n: int, f: int, odd: bool = Fals
         sub = (sub - 1) & legs
 
 
-def _row(types: tuple[int, ...], at: int, column_of: dict, seen: dict) -> dict[int, int]:
+def _row(types: tuple[int, ...], at: int, width: int, column_of: dict, seen: dict) -> dict[int, int]:
     """Row of ((f n+1) - I) at one representative, read from its type sequence.
 
     ``types`` and ``at`` are as :func:`_representatives` yields them. The
@@ -191,42 +199,83 @@ def _row(types: tuple[int, ...], at: int, column_of: dict, seen: dict) -> dict[i
     bits moved onto position ``at``. A slot already at f is forced and
     gives -1. A slot moved from position j gives -(-1)^m, where m counts
     the slots of the same kind (u-factors, v-factors, or that leg slot)
-    strictly between j and ``at``: the wedge re-sort. Each preimage also
-    gives its sign in its orbit sum; ``seen`` memoises its (column, sign)
-    on its nonzero types in order, which fix both. n does not enter.
+    strictly between j and ``at``: the wedge re-sort. The u|v indices
+    other than f are interchangeable (module docstring): a slot moved
+    from one of them not yet moved from stands for all of them, weighted
+    by their number. Each preimage also gives its sign in its orbit sum.
+
+    A type sequence is packed into one int, ``width`` bits per position,
+    so a move is one addition. ``seen`` memoises each packed preimage's
+    (column, sign), read by :func:`_packed_pattern`. n does not enter.
     """
-    # The largest type holds the highest leg bit, so this lists every leg slot.
-    bits = (_U, _V, *(_LEG << s for s in range(max(types).bit_length() - 2)))
-    choices = []  # per bit: (sign, position the slot moves from, or None)
-    for bit in bits:
-        where = [j for j, t in enumerate(types) if t & bit]
+    ft = types[at]
+    base = 0
+    for j, t in enumerate(types):
+        base |= t << width * j
+    # (coefficient, preimage - base, how many u|v indices it moved slots from)
+    partial = [(-1 if ft.bit_count() & 1 else 1, 0, 0)]
+    for bit in (_U, _V):
+        where = [] if ft & bit else [j for j, t in enumerate(types) if t & bit]
+        if not where:
+            continue
         below = sum(j < at for j in where)
-        moves = [(1, None)]
+        moves, grouped = [], []
         for k, j in enumerate(where):
             between = below - k - 1 if j < at else k - below
-            moves.append((-1 if between % 2 == 0 else 1, j))
-        choices.append([(-1, None)] if types[at] & bit else moves)
-    terms = {tuple(t for t in types if t): -1}  # the -I part, at the representative
-    for combo in product(*choices):
-        pre = list(types)
-        coeff = 1
-        for bit, (c, j) in zip(bits, combo):
-            coeff *= c
-            if j is not None:
-                pre[j] ^= bit
-                pre[at] |= bit
-        key = tuple(t for t in pre if t)
-        terms[key] = terms.get(key, 0) + coeff
+            move = (1 if between & 1 else -1, (bit << width * at) - (bit << width * j))
+            (grouped if types[j] == _U | _V else moves).append(move)
+        step = []
+        for c, d, used in partial:
+            step.append((c, d, used))
+            step += [(c * s, d + e, used) for s, e in moves]
+            step += [(c * s, d + e, used) for s, e in grouped[:used]]
+            if used < len(grouped):
+                s, e = grouped[used]
+                step.append((c * s * (len(grouped) - used), d + e, used + 1))
+        partial = step
+    # Every leg slot not at f is at one other index, alone of its kind.
+    for slot in range(width - 2):
+        bit = _LEG << slot
+        if not ft & bit:
+            j = next(j for j, t in enumerate(types) if t & bit)
+            e = (bit << width * at) - (bit << width * j)
+            partial += [(-c, d + e, used) for c, d, used in partial]
+    partial.append((-1, 0, 0))  # the -I part, at the representative
     row: dict[int, int] = {}
-    for key, coeff in terms.items():
+    for c, d, _ in partial:
+        key = base + d
         hit = seen.get(key)
         if hit is None:
-            pattern, sign = _canonical(key)
-            hit = seen[key] = (column_of.get(pattern), sign)
+            hit = seen[key] = _packed_pattern(key, width, column_of)
         col, sign = hit
         if col is not None:
-            row[col] = row.get(col, 0) + coeff * sign
+            row[col] = row.get(col, 0) + c * sign
     return {c: v for c, v in row.items() if v}
+
+
+def _packed_pattern(key: int, width: int, column_of: dict) -> tuple[int | None, int]:
+    """Column and orbit-sum sign of a type sequence packed ``width`` bits per position.
+
+    The sign is :func:`_canonical`'s, counted on the types in index
+    order: each pair of positions i < j whose types t_i > t_j share a
+    u-factor, or a v-factor, is one inversion of the u-, or v-, indices
+    listed in type order.
+    """
+    mask = (1 << width) - 1
+    types = []
+    while key:
+        if key & mask:
+            types.append(key & mask)
+        key >>= width
+    col = column_of.get(tuple(sorted(types)))
+    if col is None:
+        return None, 0
+    odd = 0
+    for i, x in enumerate(types):
+        for y in types[i + 1 :]:
+            if x > y:
+                odd ^= (x & y & (_U | _V)).bit_count()
+    return col, -1 if odd & 1 else 1
 
 
 def _rows(
@@ -241,7 +290,10 @@ def _rows(
     suffice (module docstring). The rows of any g with g(n+1) = f are
     these rows, as g = (f n+1)h with h fixing n+1 and every orbit sum.
     """
-    rows = (_row(t, at, column_of, seen) for t, at in _representatives(p, q, legs, n, f, odd))
+    width = (legs | _U | _V).bit_length()
+    rows = (
+        _row(t, at, width, column_of, seen) for t, at in _representatives(p, q, legs, n, f, odd)
+    )
     return [row for row in rows if row]
 
 
@@ -267,7 +319,7 @@ def _kernel(n: int, p: int, q: int, slots: int) -> Kernel:
     legs = ((1 << slots) - 1) * _LEG
     columns = _patterns(p, q, legs, n)
     column_of = {pattern: j for j, pattern in enumerate(columns)}
-    seen: dict[tuple, tuple[int | None, int]] = {}  # preimage -> (column, sign)
+    seen: dict[int, tuple[int | None, int]] = {}  # packed preimage -> (column, sign)
     # Sparse rows first: elimination then fills in far less.
     rows = sorted(_rows(n, p, q, legs, n, column_of, seen, odd=True), key=len)
     kernel = kernel_of_rows(rows, len(columns))

@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .characters import invariant_dim
 from .linalg import _add_into, integer_scaled, rref_vectors
@@ -85,18 +85,23 @@ def _sort_wedge(gens: tuple[Gen, ...] | list[Gen]) -> tuple[int, tuple[Gen, ...]
     return sign, tuple(arr)
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
-    """Names the space W(n; k, a, b); the group is the permutations of n+1."""
-
+class _SpaceDescriptor(NamedTuple):
     n: int
     k: int
     a: int
     b: int
 
-    def __post_init__(self):
-        if self.n < 1 or self.k < 0 or self.a < 0 or self.b < 0:
+
+class SpaceDescriptor(_SpaceDescriptor):
+    """Names the space W(n; k, a, b); the group is the permutations of n+1."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int, a: int, b: int):
+        self = super().__new__(cls, n, k, a, b)
+        if n < 1 or k < 0 or a < 0 or b < 0:
             raise ValueError(f"invalid descriptor {self}")
+        return self
 
     @property
     def validated_legs(self) -> bool:
@@ -109,8 +114,7 @@ def space_dim(s: SpaceDescriptor) -> int:
     return math.comb(2 * s.n, s.k) * s.n ** (s.a + s.b)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """One basis element: sorted wedge part plus dual-leg and leg indices."""
 
     wedge: tuple[Gen, ...]
@@ -158,17 +162,21 @@ def _check_basis_monomial(m: Monomial, s: SpaceDescriptor) -> None:
         raise ValueError(f"{m.render()} has an index outside 1..{s.n}")
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """Exact rational combination of monomials from one space."""
-
+class _SparseVector(NamedTuple):
     space: SpaceDescriptor
     terms: dict[Monomial, Fraction]
 
-    def __post_init__(self):
-        for m, c in self.terms.items():
+
+class SparseVector(_SparseVector):
+    """Exact rational combination of monomials from one space."""
+
+    __slots__ = ()
+
+    def __new__(cls, space: SpaceDescriptor, terms: dict[Monomial, Fraction]):
+        for m, c in terms.items():
             if c == 0:
                 raise ValueError(f"stored zero coefficient at {m.render()}")
+        return super().__new__(cls, space, terms)
 
     @classmethod
     def make(cls, space: SpaceDescriptor, terms) -> "SparseVector":
@@ -278,8 +286,7 @@ def act(sigma: Permutation, x: SparseVector) -> SparseVector:
     return SparseVector(x.space, terms)
 
 
-@dataclass(frozen=True)
-class InvariantBasis:
+class InvariantBasis(NamedTuple):
     """Echelonized basis of the subspace fixed by the whole group."""
 
     space: SpaceDescriptor

@@ -6,19 +6,23 @@ labelling of the representation spaces built on top of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1, ..., m}; ``images[i-1]`` is the image of i."""
-
+class _Permutation(NamedTuple):
     images: tuple[int, ...]
 
-    def __post_init__(self):
-        m = len(self.images)
-        if sorted(self.images) != list(range(1, m + 1)):
-            raise ValueError(f"not a bijection of 1..{m}: {self.images}")
+
+class Permutation(_Permutation):
+    """A bijection of {1, ..., m}; ``images[i-1]`` is the image of i."""
+
+    __slots__ = ()
+
+    def __new__(cls, images: tuple[int, ...]):
+        m = len(images)
+        if sorted(images) != list(range(1, m + 1)):
+            raise ValueError(f"not a bijection of 1..{m}: {images}")
+        return super().__new__(cls, images)
 
     @property
     def degree(self) -> int:

@@ -39,9 +39,9 @@ Fraction(3, 1)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .characters import invariant_dim
 from .linalg import SparseMatrix, _add_into, integer_scaled, rank, rank_of_rows
@@ -64,8 +64,7 @@ from .symgroup import generators
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class PairingTable:
+class PairingTable(NamedTuple):
     """The published evaluation table of dual legs on plain legs.
 
     On indices up to n this is the Kronecker delta; index n+1 stands for
@@ -110,8 +109,7 @@ def _orbit_sum(n: int, letters: str, a: int, b: int) -> dict[Monomial, int]:
     return out
 
 
-@dataclass(frozen=True)
-class DistinguishedClass:
+class DistinguishedClass(NamedTuple):
     """A named invariant class; invariance is asserted at construction."""
 
     name: str
@@ -237,8 +235,7 @@ def compose(x: SparseVector, y: SparseVector, pairing: str = "equivariant") -> S
     return SparseVector(SpaceDescriptor(n, sx.k + sy.k, sy.a, sx.b), terms)
 
 
-@dataclass(frozen=True)
-class MapOnInvariants:
+class MapOnInvariants(NamedTuple):
     """Matrix of a composition operator restricted to invariant bases."""
 
     source: InvariantBasis

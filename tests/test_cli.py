@@ -530,6 +530,12 @@ FOOTPRINT = textwrap.dedent(
             ["table", "ext_G_G", "--n", "2"],
             {"characters", "dimformulas", "linalg", "patterns", "spaces", "symgroup"},
         ),
+        (
+            ["verify", "--n-min", "2", "--n-max", "2", "--check-remark", "--print-bases",
+             "--format", "json"],
+            {"characters", "chase", "dimformulas", "linalg", "patterns", "spaces", "symgroup",
+             "yoneda"},
+        ),
     ],
 )
 def test_each_command_loads_only_the_layers_it_runs(argv, package):
@@ -539,8 +545,9 @@ def test_each_command_loads_only_the_layers_it_runs(argv, package):
     loaded = {m.split(".", 1)[1] for m in modules if m.startswith("equivext.")}
     assert loaded == {"cli"} | package
     assert "concurrent.futures" not in modules
+    assert not {"dataclasses", "inspect"} & set(modules)
     if argv == ["--help"]:
-        assert not {"dataclasses", "inspect", "json"} & set(modules)
+        assert "json" not in modules
 
 
 def test_verify_report_lists_oracle_rows_past_the_verified_range(capsys):

@@ -124,21 +124,25 @@ def patterns_most_off_by_one(monkeypatch):
 def row_forced_slot_plus_one(monkeypatch):
     patch_source(
         monkeypatch, patterns_mod, "_row",
-        "choices.append([(-1, None)] if", "choices.append([(1, None)] if",
+        "partial = [(-1 if ft.bit_count() & 1 else 1, 0, 0)]", "partial = [(1, 0, 0)]",
     )
 
 
 def row_without_the_identity_term(monkeypatch):
-    patch_source(
-        monkeypatch, patterns_mod, "_row",
-        "terms = {tuple(t for t in types if t): -1}", "terms = {}",
-    )
+    patch_source(monkeypatch, patterns_mod, "_row", "partial.append((-1, 0, 0))", "None")
 
 
 def row_resort_sign_flipped(monkeypatch):
     patch_source(
         monkeypatch, patterns_mod, "_row",
-        "(-1 if between % 2 == 0 else 1, j)", "(1 if between % 2 == 0 else -1, j)",
+        "move = (1 if between & 1 else -1,", "move = (-1 if between & 1 else 1,",
+    )
+
+
+def row_group_weight_one(monkeypatch):
+    patch_source(
+        monkeypatch, patterns_mod, "_row",
+        "c * s * (len(grouped) - used)", "c * s",
     )
 
 
@@ -175,6 +179,7 @@ FAULTS = {
         row_forced_slot_plus_one,
         row_without_the_identity_term,
         row_resort_sign_flipped,
+        row_group_weight_one,
         compose_pairing_scale_n,
         omega_power_coefficient_changed,
         reverse_reading_sign_flipped,
@@ -183,8 +188,10 @@ FAULTS = {
 
 # The stage that raises, for the faults inside a function body. The
 # (1 n+1) check reads its rows from the same `_row`, so a flipped
-# re-sort sign passes it and is caught only in the ranks stage, where the
-# pattern reading checks each image against the target's kernel.
+# re-sort sign passes it and is caught only in the ranks stage, where
+# `map_rank` checks the pattern dimensions of its spaces against the
+# oracle. A group weighted 1 changes the kernels, whose sizes the tables
+# and oracle stages then report as MISMATCH: exit 1, no stage.
 STAGES = {
     "row_forced_slot_plus_one": "tables",
     "row_without_the_identity_term": "tables",
@@ -213,7 +220,7 @@ def test_an_unchanged_source_copy_passes(monkeypatch, capsys):
     # The copies patch_source compiles behave as the originals, so each
     # fault above is caught for its one changed substring.
     originals = patterns_mod._row, yoneda_mod.compose, yoneda_mod._omega_power
-    patch_source(monkeypatch, patterns_mod, "_row", "terms = {", "terms = {")
+    patch_source(monkeypatch, patterns_mod, "_row", "partial = [", "partial = [")
     patch_source(monkeypatch, yoneda_mod, "compose", "scale = n + 1", "scale = n + 1")
     patch_source(monkeypatch, yoneda_mod, "_omega_power", "(i + 1)", "(i + 1)")
     patch_source(monkeypatch, patterns_mod, "orbit_readings", "sign = ", "sign = ")

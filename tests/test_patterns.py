@@ -21,6 +21,7 @@ from equivext.spaces import (
 from equivext.linalg import integer_scaled
 from equivext.symgroup import Permutation, full_cycle, transposition
 
+from row_reference import reference_rows
 from support import clear_caches
 
 
@@ -129,6 +130,31 @@ def test_rows_are_the_monomial_action_at_each_representative(n):
                     expected.append(row)
             rows = patterns_mod._rows(f, p, q, legs, n, column_of, {})
             assert rows == expected, (n, slots, p, q, f)
+
+
+def _assert_rows_match_the_reference(n: int, p: int, q: int, slots: int):
+    # f = n at the odd representatives, as the kernel is solved; f = 1 at
+    # every one, as it is checked.
+    legs = ((1 << slots) - 1) * patterns_mod._LEG
+    column_of = {pattern: j for j, pattern in enumerate(patterns_mod._patterns(p, q, legs, n))}
+    for f, odd in ((n, True), (1, False)):
+        rows = patterns_mod._rows(f, p, q, legs, n, column_of, {}, odd)
+        assert rows == reference_rows(f, p, q, legs, n, column_of, odd), (n, p, q, slots, f)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_grouped_rows_equal_the_rows_of_every_preimage(n):
+    # The grouped preimages, weighted by group size, give the same row
+    # lists as one preimage per choice of the index each slot came from.
+    for slots, p, q in product(range(4), range(n + 1), range(n + 1)):
+        _assert_rows_match_the_reference(n, p, q, slots)
+
+
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n), st.integers(0, n), st.integers(0, 3))
+))
+def test_grouped_rows_equal_the_reference_on_samples(case):
+    _assert_rows_match_the_reference(*case)
 
 
 def _tau_rows(n: int, p: int, q: int, slots: int, odd: bool = False):
