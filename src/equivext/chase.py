@@ -211,9 +211,11 @@ def verify_theorem(n: int, check_remark: bool = False, swap_uv: bool = False) ->
     """:func:`replay` on the closed forms and on the ranks of the rank battery."""
     from .cli import TABLE_ORDER, _rank_checks
     from .dimformulas import formula_table
+    from .yoneda import build_class
 
     dims = {family: list(formula_table(family, n).dims) for family in TABLE_ORDER}
-    ranks = {c["id"]: c["got"] for c in _rank_checks(n, swap_uv, check_remark)}
+    theta = build_class("theta(u)" if swap_uv else "theta(v)", n)
+    ranks = {c["id"]: c["got"] for c in _rank_checks(n, theta, check_remark)}
     return replay(n, dims, ranks, check_remark)
 
 

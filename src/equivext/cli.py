@@ -155,14 +155,11 @@ RANK_CASES = (
 )
 
 
-def _rank_checks(
-    n: int, swap_uv: bool, check_remark: bool, theta_v: DistinguishedClass | None = None
-) -> list[dict]:
-    """The rank battery; ``theta_v``, theta(v) at this n, is built here if not given."""
+def _rank_checks(n: int, theta: DistinguishedClass, check_remark: bool) -> list[dict]:
+    """The rank battery; ``theta`` is theta(v) at this n, or theta(u) under ``--swap-uv``."""
     from .spaces import SpaceDescriptor
-    from .yoneda import DistinguishedClass, build_class, map_rank, theta_of
+    from .yoneda import DistinguishedClass, map_rank, theta_of
 
-    theta = build_class("theta(u)", n) if swap_uv else theta_v or build_class("theta(v)", n)
     classes = {"theta": theta, "zero": DistinguishedClass("theta(0)", theta_of(n, 0, 0), theta.space)}
     cases = list(RANK_CASES)
     if check_remark:
@@ -246,10 +243,12 @@ def _verify_one(n: int, cfg: RunConfig) -> dict:
 
     tables, palindromes = _staged(n, "tables", _table_results, n)
     oracle = _staged(n, "oracle", _oracle_results, n)
-    # Both batteries read theta(v); it is built and checked once per n.
+    # Both batteries read theta(v), built and checked once per n; under
+    # --swap-uv the rank battery reads theta(u) instead.
     theta = _staged(n, "coefficients", build_class, "theta(v)", n)
     coefficients = _staged(n, "coefficients", _coefficient_checks, n, theta)
-    ranks = _staged(n, "ranks", _rank_checks, n, cfg.swap_uv, cfg.check_remark, theta)
+    side = _staged(n, "ranks", build_class, "theta(u)", n) if cfg.swap_uv else theta
+    ranks = _staged(n, "ranks", _rank_checks, n, side, cfg.check_remark)
     result: dict = {
         "n": n,
         "tables": tables,

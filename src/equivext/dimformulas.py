@@ -35,6 +35,10 @@ class GradedDimVector:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        # copy and pickle would restore the slot through __setattr__.
+        return GradedDimVector, (self.dims,)
+
     def __eq__(self, other):
         return self.dims == other.dims if other.__class__ is self.__class__ else NotImplemented
 

@@ -81,33 +81,35 @@ if TYPE_CHECKING:
 _U, _V, _LEG = 2, 1, 4
 
 
-def _sort_sign(seq: list[int]) -> int:
-    """Sign of the permutation that sorts the distinct entries of ``seq``."""
-    sign = 1
-    for i, x in enumerate(seq):
-        for y in seq[i + 1 :]:
-            if x > y:
-                sign = -sign
-    return sign
-
-
 def _canonical(types) -> tuple[tuple[int, ...], int]:
     """Pattern of a type sequence and its coefficient in the pattern's orbit sum.
 
     ``types`` lists the types of a monomial's indices in index order, 0
-    for an index that holds nothing; only that order matters. The orbit
-    sum is sigma applied to the representative that numbers the types
-    1, 2, ... in sorted order, so the coefficient is the sign of
-    re-sorting the u-indices, and the v-indices, listed in that type
-    order. Indices of equal type are listed by index; for a consistent
-    pattern they carry both a u- and a v-factor, and the two signs agree
-    whatever their order.
+    for an index that holds nothing; only that order matters. The
+    pattern is the sorted nonzero types, the coefficient
+    :func:`_orbit_sign` of them.
     """
-    order = sorted((t, i) for i, t in enumerate(types) if t)
-    sign = _sort_sign([i for t, i in order if t & _U]) * _sort_sign(
-        [i for t, i in order if t & _V]
-    )
-    return tuple(t for t, _ in order), sign
+    types = [t for t in types if t]
+    return tuple(sorted(types)), _orbit_sign(types)
+
+
+def _orbit_sign(types: list[int]) -> int:
+    """Coefficient in its orbit sum of a monomial whose nonzero types, in index order, are ``types``.
+
+    The orbit sum is sigma applied to the representative that numbers
+    the types 1, 2, ... in sorted order, so the coefficient is the sign
+    of re-sorting the u-indices, and the v-indices, listed in that type
+    order: each pair of indices i < j whose types t_i > t_j share a
+    u-factor, or a v-factor, is one inversion. Indices of equal type
+    keep their index order; for a consistent pattern they carry both a
+    u- and a v-factor, and the two signs agree whatever their order.
+    """
+    odd = 0
+    for i, x in enumerate(types):
+        for y in types[i + 1 :]:
+            if x > y:
+                odd ^= (x & y & (_U | _V)).bit_count()
+    return -1 if odd & 1 else 1
 
 
 def pattern_of(m: Monomial, n: int) -> tuple[int, tuple[int, ...], int]:
@@ -256,10 +258,8 @@ def _row(types: tuple[int, ...], at: int, width: int, column_of: dict, seen: dic
 def _packed_pattern(key: int, width: int, column_of: dict) -> tuple[int | None, int]:
     """Column and orbit-sum sign of a type sequence packed ``width`` bits per position.
 
-    The sign is :func:`_canonical`'s, counted on the types in index
-    order: each pair of positions i < j whose types t_i > t_j share a
-    u-factor, or a v-factor, is one inversion of the u-, or v-, indices
-    listed in type order.
+    As :func:`_canonical`, but the sign is read only for a pattern that
+    has a column: nearly a third of the preimages have none.
     """
     mask = (1 << width) - 1
     types = []
@@ -268,14 +268,7 @@ def _packed_pattern(key: int, width: int, column_of: dict) -> tuple[int | None, 
             types.append(key & mask)
         key >>= width
     col = column_of.get(tuple(sorted(types)))
-    if col is None:
-        return None, 0
-    odd = 0
-    for i, x in enumerate(types):
-        for y in types[i + 1 :]:
-            if x > y:
-                odd ^= (x & y & (_U | _V)).bit_count()
-    return col, -1 if odd & 1 else 1
+    return (None, 0) if col is None else (col, _orbit_sign(types))
 
 
 def _rows(

@@ -379,7 +379,7 @@ def test_rank_stage_materialises_only_source_bases(monkeypatch):
     for module in (spaces_mod, yoneda_mod):
         monkeypatch.setattr(module, "_block", recording)
         monkeypatch.setattr(module, "invariant_basis", boom)
-    checks = cli_mod._rank_checks(5, False, True)
+    checks = cli_mod._rank_checks(5, yoneda_mod.build_class("theta(v)", 5), True)
     assert [c["status"] for c in checks] == ["PASS"] * 8
     assert listed == {SpaceDescriptor(5, 1, 1, 0), SpaceDescriptor(5, 1, 1, 1)}
 
@@ -402,7 +402,8 @@ def test_oracle_stage_covers_every_map_of_the_certificate(monkeypatch, n):
     monkeypatch.setattr(yoneda_mod, "map_rank", spy)
     for check_remark in (False, True):
         for swap_uv in (False, True):
-            cli_mod._rank_checks(n, swap_uv, check_remark)
+            theta = yoneda_mod.build_class("theta(u)" if swap_uv else "theta(v)", n)
+            cli_mod._rank_checks(n, theta, check_remark)
             chase_mod.verify_theorem(n, check_remark=check_remark, swap_uv=swap_uv)
     used = {
         s

@@ -4,6 +4,8 @@ Error messages show these reprs (``SpaceDescriptor(n=3, k=1, a=0, b=1)``),
 so each is pinned as written out field by field.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -74,6 +76,12 @@ def test_frozen_records_reject_assignment(record, text):
         setattr(record, field, None)
     with pytest.raises(AttributeError):
         record.extra = None  # no instance dict
+
+
+@pytest.mark.parametrize("record, text", RECORDS, ids=IDS)
+def test_records_copy_and_pickle(record, text):
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record) and clone == record and repr(clone) == text
 
 
 def test_chase_records_stay_mutable():
