@@ -19,7 +19,7 @@ _HOMES = {
     "chase": "ChaseProblem ChaseReport TheoremFailure solve verify_theorem",
     "characters": "conjugacy_classes invariant_dim",
     "dimformulas": "GradedDimVector d_vector ext_G_G ext_G_OP graded_tensor h_G h_OP",
-    "linalg": "Rational SparseMatrix nullspace_basis rank",
+    "linalg": "SparseMatrix rank",
     "spaces": "InvariantBasis Monomial SpaceDescriptor SparseVector act invariant_basis "
     "parse_monomial space_dim",
     "symgroup": "Permutation generators",

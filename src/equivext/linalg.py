@@ -14,8 +14,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-Rational = Fraction
-
 _ONE = Fraction(1)
 
 
@@ -143,12 +141,3 @@ def kernel_of_rows(rows, ncols: int) -> list[dict[int, Fraction]]:
 def rank(m: SparseMatrix) -> int:
     """Rank of ``m`` over the rationals."""
     return rank_of_rows(m.row_dicts(), m.cols)
-
-
-def nullspace_basis(m: SparseMatrix) -> list[dict[int, Fraction]]:
-    """Basis of the right kernel of ``m`` in reduced echelon normal form.
-
-    Each basis vector is a map column index -> coefficient with leading
-    coefficient 1; vectors are ordered by leading column.
-    """
-    return rref_vectors(kernel_of_rows(m.row_dicts(), m.cols), m.cols)

@@ -25,30 +25,27 @@ S's bits onto the position of index n, and only the order of the
 positions enters a row, never n. The dimension is the number of
 consistent patterns minus the rank of these rows.
 
-Only the rows at representatives whose index n holds an odd number s
-of slots (u-, v- and leg slots) are taken, about half of them. As
-tau^2 = 1, w = (tau - I)v has tau w = -w; and tau sends a monomial to
-(-1)^s times itself plus monomials with fewer slots at n. So w at each
-even s is fixed by w at larger s, and w = 0 once it vanishes at every
-odd s. Conjugating by S_n, the same holds for every (f n+1) with
-1 <= f <= n, graded by the slots at f.
+The kernel is solved on the rows at representatives whose index n
+holds an odd number s of slots (u-, v- and leg slots), about half of
+them. As tau^2 = 1, w = (tau - I)v has tau w = -w; and tau sends a
+monomial to (-1)^s times itself plus monomials with fewer slots at n.
+So w at each even s is fixed by w at larger s, and w = 0 once it
+vanishes at every odd s.
 
 A row need not visit every preimage. In a consistent pattern only
 u|v types (a u- and a v-factor, no leg) repeat, and indices of equal
 type that no moved slot came from are interchangeable: swapping two of
-them fixes the representative and commutes with (f n+1), so it maps
-the preimages onto each other with equal signed terms. A row therefore
+them fixes the representative and commutes with tau, so it maps the
+preimages onto each other with equal signed terms. A row therefore
 takes one preimage per group of such indices, weighted by the group's
 size.
 
-The same preimage routine, written for (f n+1), gives the rows of
-((f n+1) - I) at the orbits of the permutations fixing f and n+1. Every
-kernel vector, scaled to integers, must be sent to zero by the rows of
-(1 n+1), else the computation raises. These are the rows of the
-(n+1)-cycle g: write g = (f n+1)h with f = g(n+1); h fixes n+1, so it
-fixes every S_n-invariant v, and (g - I)v = ((f n+1) - I)v. S_n and the
-cycle generate the whole group, so this check also certifies the
-reduction to odd rows at run time.
+Every kernel vector, scaled to integers, must then vanish on the rows
+at every representative, odd and even, else the computation raises.
+The even rows took no part in the elimination, so they check the
+reduction to odd rows at run time, and the odd rows check the
+elimination; S_n and tau generate the whole group, so a vector that
+passes is invariant.
 
 Dual and plain legs are acted on alike, so a block's kernel depends on
 (n, p, q, a + b) only and is memoised on that key. The kernel is the one
@@ -145,71 +142,73 @@ def _set_partitions(mask: int):
 
 @lru_cache(maxsize=None)
 def _patterns(p: int, q: int, legs: int, most: int) -> tuple[tuple[int, ...], ...]:
-    """Consistent patterns with p u-factors, q v-factors and the leg bits ``legs``.
+    """The consistent patterns of :func:`_orbits`, in its order: a kernel's columns. Memoised."""
+    return tuple(pattern for pattern, consistent in _orbits(p, q, legs, most) if consistent)
+
+
+def _orbits(p: int, q: int, legs: int, most: int):
+    """Every pattern with p u-factors, q v-factors and the leg bits ``legs``, and its consistency.
 
     Each leg block of a set partition of the slots becomes one type, with
-    or without a u- and a v-factor; leg-free types fill the remaining
-    factors, at most one u-only and one v-only. At most ``most`` types.
-    Memoised on the arguments.
+    or without a u- and a v-factor; leg-free u|v, u-only and v-only types
+    fill the remaining factors, the u|v ones from the most down. At most
+    ``most`` types. A pattern is consistent unless it has two u-only or
+    two v-only types. Yields (pattern, consistent).
     """
-    out = []
     for blocks in _set_partitions(legs):
         for flags in product(range(4), repeat=len(blocks)):
             typed = [block | f for block, f in zip(blocks, flags)]
             rp = p - sum(f >> 1 for f in flags)
             rq = q - sum(f & 1 for f in flags)
-            for x, y in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                both = rp - x
-                if both < 0 or both != rq - y or len(typed) + x + y + both > most:
-                    continue
-                out.append(tuple(sorted(typed + [_U] * x + [_V] * y + [_U | _V] * both)))
-    return tuple(out)
+            for both in range(min(rp, rq), -1, -1):
+                x, y = rp - both, rq - both
+                if len(typed) + x + y + both <= most:
+                    pattern = sorted(typed + [_U] * x + [_V] * y + [_U | _V] * both)
+                    yield tuple(pattern), x < 2 and y < 2
 
 
-def _representatives(p: int, q: int, legs: int, n: int, f: int, odd: bool = False):
-    """One representative per consistent orbit of the permutations fixing f (and n+1).
+def _representatives(p: int, q: int, legs: int, n: int):
+    """One representative per consistent orbit of the permutations fixing n (and n+1).
 
-    Index f takes any type (or none); the other types ``rest`` fill the
-    remaining indices in ascending order. Yields (types, at): the types
-    of the indices up to the last one used, in index order, as
-    :func:`_canonical` reads them, with f's type (0 if it holds nothing)
-    at position ``at`` = min(f - 1, len(rest)). With ``odd``, only the
-    orbits whose index f carries an odd number of slots.
+    Index n takes any type (or none); the types of a consistent pattern
+    on at most n - 1 types fill indices 1, 2, ... in ascending order.
+    Yields the types of the indices used, in index order, as
+    :func:`_canonical` reads them, with n's type (0 if it holds nothing)
+    last.
     """
     sub = legs
     while True:
         for flag in range(4):
             tp, tq = flag >> 1, flag & 1
-            if tp > p or tq > q or odd and not (sub | flag).bit_count() & 1:
-                continue
-            for rest in _patterns(p - tp, q - tq, legs ^ sub, n - 1):
-                at = min(f - 1, len(rest))
-                yield (*rest[:at], sub | flag, *rest[at:]), at
+            if tp <= p and tq <= q:
+                for rest in _patterns(p - tp, q - tq, legs ^ sub, n - 1):
+                    yield (*rest, sub | flag)
         if not sub:
             return
         sub = (sub - 1) & legs
 
 
-def _row(types: tuple[int, ...], at: int, width: int, column_of: dict, seen: dict) -> dict[int, int]:
-    """Row of ((f n+1) - I) at one representative, read from its type sequence.
+def _row(types: tuple[int, ...], width: int, column_of: dict, seen: dict) -> dict[int, int]:
+    """Row of (tau - I) at one representative, read from its type sequence.
 
-    ``types`` and ``at`` are as :func:`_representatives` yields them. The
-    coefficient of the representative r in (f n+1)v sums over the
-    preimages of r: the set S of r's slots that came from index f, whose
-    image n+1 expands to -(e_1 + ... + e_n), holds every slot at f, and
-    every other slot came from its own index. A preimage is r with S's
-    bits moved onto position ``at``. A slot already at f is forced and
-    gives -1. A slot moved from position j gives -(-1)^m, where m counts
-    the slots of the same kind (u-factors, v-factors, or that leg slot)
-    strictly between j and ``at``: the wedge re-sort. The u|v indices
-    other than f are interchangeable (module docstring): a slot moved
-    from one of them not yet moved from stands for all of them, weighted
-    by their number. Each preimage also gives its sign in its orbit sum.
+    ``types`` is as :func:`_representatives` yields it. The coefficient
+    of the representative r in tau v sums over the preimages of r: the
+    set S of r's slots that came from index n, whose image n+1 expands
+    to -(e_1 + ... + e_n), holds every slot at n, and every other slot
+    came from its own index. A preimage is r with S's bits moved onto
+    the last position, n's. A slot already at n is forced and gives -1.
+    A slot moved from position j gives -(-1)^m, where m counts the slots
+    of the same kind (u-factors, v-factors, or that leg slot) after j:
+    the wedge re-sort. The u|v indices other than n are interchangeable
+    (module docstring): a slot moved from one of them not yet moved from
+    stands for all of them, weighted by their number. Each preimage also
+    gives its sign in its orbit sum.
 
     A type sequence is packed into one int, ``width`` bits per position,
     so a move is one addition. ``seen`` memoises each packed preimage's
     (column, sign), read by :func:`_packed_pattern`. n does not enter.
     """
+    at = len(types) - 1
     ft = types[at]
     base = 0
     for j, t in enumerate(types):
@@ -220,10 +219,9 @@ def _row(types: tuple[int, ...], at: int, width: int, column_of: dict, seen: dic
         where = [] if ft & bit else [j for j, t in enumerate(types) if t & bit]
         if not where:
             continue
-        below = sum(j < at for j in where)
         moves, grouped = [], []
         for k, j in enumerate(where):
-            between = below - k - 1 if j < at else k - below
+            between = len(where) - k - 1
             move = (1 if between & 1 else -1, (bit << width * at) - (bit << width * j))
             (grouped if types[j] == _U | _V else moves).append(move)
         step = []
@@ -235,7 +233,7 @@ def _row(types: tuple[int, ...], at: int, width: int, column_of: dict, seen: dic
                 s, e = grouped[used]
                 step.append((c * s * (len(grouped) - used), d + e, used + 1))
         partial = step
-    # Every leg slot not at f is at one other index, alone of its kind.
+    # Every leg slot not at n is at one other index, alone of its kind.
     for slot in range(width - 2):
         bit = _LEG << slot
         if not ft & bit:
@@ -271,23 +269,23 @@ def _packed_pattern(key: int, width: int, column_of: dict) -> tuple[int | None, 
     return (None, 0) if col is None else (col, _orbit_sign(types))
 
 
-def _rows(
-    f: int, p: int, q: int, legs: int, n: int, column_of: dict, seen: dict, odd=False
-) -> list[dict]:
-    """Rows of ((f n+1) - I) on the consistent orbit sums, 1 <= f <= n.
+def _rows(p: int, q: int, legs: int, n: int, column_of: dict) -> tuple[list[dict], list[dict]]:
+    """Rows of (tau - I) on the consistent orbit sums: the odd ones and the even ones.
 
-    ((f n+1) - I)v is fixed by the permutations fixing f and n+1, so it
-    is evaluated at one representative of each consistent orbit of
-    those, by :func:`_row`. With ``odd``, only the rows at
-    representatives whose index f holds an odd number of slots, which
-    suffice (module docstring). The rows of any g with g(n+1) = f are
-    these rows, as g = (f n+1)h with h fixing n+1 and every orbit sum.
+    (tau - I)v is fixed by the permutations of 1..n-1, so it is read at
+    one representative of each consistent orbit of those, by
+    :func:`_row`. A row is odd if its representative's index n holds an
+    odd number of slots; the odd rows suffice to solve for the kernel,
+    and the even ones check it (module docstring). Empty rows are dropped.
     """
     width = (legs | _U | _V).bit_length()
-    rows = (
-        _row(t, at, width, column_of, seen) for t, at in _representatives(p, q, legs, n, f, odd)
-    )
-    return [row for row in rows if row]
+    seen: dict[int, tuple[int | None, int]] = {}  # packed preimage -> (column, sign)
+    odd, even = [], []
+    for types in _representatives(p, q, legs, n):
+        row = _row(types, width, column_of, seen)
+        if row:
+            (odd if types[-1].bit_count() & 1 else even).append(row)
+    return odd, even
 
 
 Kernel = list[dict[tuple[int, ...], Fraction]]
@@ -299,9 +297,8 @@ def block_kernel(s: SpaceDescriptor, p: int) -> Kernel:
     The block's monomials have p u- and q = k - p v-factors. Each vector
     maps a consistent pattern to its coefficient; the orbit sum of a
     pattern has coefficient ``sign`` on each monomial for which
-    :func:`pattern_of` gives that pattern and ``sign``. Every vector,
-    scaled to integers, is checked against the rows of (1 n+1), which
-    are the rows of the (n+1)-cycle (module docstring).
+    :func:`pattern_of` gives that pattern and ``sign``. Every vector is
+    checked against every row of tau, odd and even (module docstring).
     """
     return _kernel(s.n, p, s.k - p, s.a + s.b)
 
@@ -312,39 +309,17 @@ def _kernel(n: int, p: int, q: int, slots: int) -> Kernel:
     legs = ((1 << slots) - 1) * _LEG
     columns = _patterns(p, q, legs, n)
     column_of = {pattern: j for j, pattern in enumerate(columns)}
-    seen: dict[int, tuple[int | None, int]] = {}  # packed preimage -> (column, sign)
+    odd, even = _rows(p, q, legs, n, column_of)
     # Sparse rows first: elimination then fills in far less.
-    rows = sorted(_rows(n, p, q, legs, n, column_of, seen, odd=True), key=len)
-    kernel = kernel_of_rows(rows, len(columns))
-    if kernel:
-        check_rows = _rows(1, p, q, legs, n, column_of, seen)
-        for vec in kernel:
-            _, ints = integer_scaled(vec)
-            if any(sum(c * ints.get(j, 0) for j, c in row.items()) for row in check_rows):
-                raise RuntimeError(
-                    f"pattern kernel vector not invariant for n={n}, "
-                    f"(p, q) = ({p}, {q}), a + b = {slots}"
-                )
+    kernel = kernel_of_rows(sorted(odd, key=len), len(columns))
+    for vec in kernel:
+        _, ints = integer_scaled(vec)
+        if any(sum(c * ints.get(j, 0) for j, c in row.items()) for row in odd + even):
+            raise RuntimeError(
+                f"pattern kernel vector not invariant for n={n}, "
+                f"(p, q) = ({p}, {q}), a + b = {slots}"
+            )
     return [{columns[j]: c for j, c in vec.items()} for vec in kernel]
-
-
-def _orbits(p: int, q: int, legs: int, most: int):
-    """Every pattern with p u-factors, q v-factors and the leg bits ``legs``, and its consistency.
-
-    As :func:`_patterns`, whose order fixes the kernels' columns, but with
-    any number of leg-free u-only and v-only types; at most ``most``
-    types. Yields (pattern, consistent).
-    """
-    for blocks in _set_partitions(legs):
-        for flags in product(range(4), repeat=len(blocks)):
-            typed = [block | f for block, f in zip(blocks, flags)]
-            rp = p - sum(f >> 1 for f in flags)
-            rq = q - sum(f & 1 for f in flags)
-            for both in range(min(rp, rq) + 1):
-                x, y = rp - both, rq - both
-                if len(typed) + x + y + both <= most:
-                    pattern = sorted(typed + [_U] * x + [_V] * y + [_U | _V] * both)
-                    yield tuple(pattern), x < 2 and y < 2
 
 
 def _representative(types: tuple[int, ...], a: int, b: int) -> tuple[tuple, tuple, tuple]:
@@ -373,8 +348,8 @@ def orbit_readings(s: SpaceDescriptor, p: int) -> list[tuple[tuple[int, ...], tu
     >>> from equivext.spaces import SpaceDescriptor
     >>> for pattern, forward, reverse, sign in orbit_readings(SpaceDescriptor(2, 2, 0, 0), 1):
     ...     print(pattern, forward[0], reverse[0], sign)  # types: 1 = v only, 2 = u only, 3 = both
-    (1, 2) (('u', 2), ('v', 1)) (('u', 1), ('v', 2)) 1
     (3,) (('u', 1), ('v', 1)) (('u', 1), ('v', 1)) 1
+    (1, 2) (('u', 2), ('v', 1)) (('u', 1), ('v', 2)) 1
     """
     out = []
     for pattern, consistent in _orbits(p, s.k - p, ((1 << (s.a + s.b)) - 1) * _LEG, s.n):

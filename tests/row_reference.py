@@ -13,21 +13,23 @@ from itertools import product
 from equivext.patterns import _LEG, _U, _V, _canonical, _representatives
 
 
-def reference_row(types: tuple[int, ...], at: int, column_of: dict, seen: dict) -> dict[int, int]:
-    """Row of ((f n+1) - I) at one representative, read from its type sequence.
+def reference_row(types: tuple[int, ...], column_of: dict, seen: dict) -> dict[int, int]:
+    """Row of (tau - I) at one representative, read from its type sequence.
 
-    ``types`` and ``at`` are as :func:`_representatives` yields them. The
-    coefficient of the representative r in (f n+1)v sums over the
-    preimages of r: the set S of r's slots that came from index f, whose
-    image n+1 expands to -(e_1 + ... + e_n), holds every slot at f, and
-    every other slot came from its own index. A preimage is r with S's
-    bits moved onto position ``at``. A slot already at f is forced and
-    gives -1. A slot moved from position j gives -(-1)^m, where m counts
-    the slots of the same kind (u-factors, v-factors, or that leg slot)
-    strictly between j and ``at``: the wedge re-sort. Each preimage also
-    gives its sign in its orbit sum; ``seen`` memoises its (column, sign)
-    on its nonzero types in order, which fix both. n does not enter.
+    ``types`` is as :func:`_representatives` yields it, index n's type
+    last, at position ``at``. The coefficient of the representative r in
+    tau v sums over the preimages of r: the set S of r's slots that came
+    from index n, whose image n+1 expands to -(e_1 + ... + e_n), holds
+    every slot at n, and every other slot came from its own index. A
+    preimage is r with S's bits moved onto position ``at``. A slot
+    already at n is forced and gives -1. A slot moved from position j
+    gives -(-1)^m, where m counts the slots of the same kind (u-factors,
+    v-factors, or that leg slot) strictly between j and ``at``: the
+    wedge re-sort. Each preimage also gives its sign in its orbit sum;
+    ``seen`` memoises its (column, sign) on its nonzero types in order,
+    which fix both. n does not enter.
     """
+    at = len(types) - 1
     # The largest type holds the highest leg bit, so this lists every leg slot.
     bits = (_U, _V, *(_LEG << s for s in range(max(types).bit_length() - 2)))
     choices = []  # per bit: (sign, position the slot moves from, or None)
@@ -62,10 +64,12 @@ def reference_row(types: tuple[int, ...], at: int, column_of: dict, seen: dict) 
     return {c: v for c, v in row.items() if v}
 
 
-def reference_rows(
-    f: int, p: int, q: int, legs: int, n: int, column_of: dict, odd=False
-) -> list[dict]:
-    """:func:`equivext.patterns._rows`, each row by :func:`reference_row`."""
+def reference_rows(p: int, q: int, legs: int, n: int, column_of: dict) -> tuple[list, list]:
+    """:func:`equivext.patterns._rows`, each row by :func:`reference_row`: the odd rows, the even ones."""
     seen: dict = {}
-    rows = (reference_row(t, at, column_of, seen) for t, at in _representatives(p, q, legs, n, f, odd))
-    return [row for row in rows if row]
+    out: tuple[list, list] = ([], [])
+    for types in _representatives(p, q, legs, n):
+        row = reference_row(types, column_of, seen)
+        if row:
+            out[types[-1].bit_count() % 2 == 0].append(row)
+    return out

@@ -146,6 +146,11 @@ def row_group_weight_one(monkeypatch):
     )
 
 
+def tau_rows_parity_swapped(monkeypatch):
+    # The kernel is solved on the even tau rows and checked on the odd ones.
+    patch_source(monkeypatch, patterns_mod, "_rows", "return odd, even", "return even, odd")
+
+
 def compose_pairing_scale_n(monkeypatch):
     patch_source(monkeypatch, yoneda_mod, "compose", "scale = n + 1", "scale = n")
 
@@ -180,6 +185,7 @@ FAULTS = {
         row_without_the_identity_term,
         row_resort_sign_flipped,
         row_group_weight_one,
+        tau_rows_parity_swapped,
         compose_pairing_scale_n,
         omega_power_coefficient_changed,
         reverse_reading_sign_flipped,
@@ -187,7 +193,7 @@ FAULTS = {
 }
 
 # The stage that raises, for the faults inside a function body. The
-# (1 n+1) check reads its rows from the same `_row`, so a flipped
+# tau check reads its rows from the same `_row`, so a flipped
 # re-sort sign passes it and is caught only in the ranks stage, where
 # `map_rank` checks the pattern dimensions of its spaces against the
 # oracle. A group weighted 1 changes the kernels, whose sizes the tables
@@ -196,6 +202,7 @@ STAGES = {
     "row_forced_slot_plus_one": "tables",
     "row_without_the_identity_term": "tables",
     "row_resort_sign_flipped": "ranks",
+    "tau_rows_parity_swapped": "tables",
     "compose_pairing_scale_n": "ranks",
     "omega_power_coefficient_changed": "ranks",
     "reverse_reading_sign_flipped": "ranks",
@@ -219,13 +226,14 @@ def test_verify_catches_the_fault(monkeypatch, capsys, fault):
 def test_an_unchanged_source_copy_passes(monkeypatch, capsys):
     # The copies patch_source compiles behave as the originals, so each
     # fault above is caught for its one changed substring.
-    originals = patterns_mod._row, yoneda_mod.compose, yoneda_mod._omega_power
+    originals = patterns_mod._row, patterns_mod._rows, yoneda_mod.compose, yoneda_mod._omega_power
     patch_source(monkeypatch, patterns_mod, "_row", "partial = [", "partial = [")
+    patch_source(monkeypatch, patterns_mod, "_rows", "return odd, even", "return odd, even")
     patch_source(monkeypatch, yoneda_mod, "compose", "scale = n + 1", "scale = n + 1")
     patch_source(monkeypatch, yoneda_mod, "_omega_power", "(i + 1)", "(i + 1)")
     patch_source(monkeypatch, patterns_mod, "orbit_readings", "sign = ", "sign = ")
     monkeypatch.setattr(yoneda_mod, "orbit_readings", patterns_mod.orbit_readings)
-    copies = patterns_mod._row, yoneda_mod.compose, yoneda_mod._omega_power
+    copies = patterns_mod._row, patterns_mod._rows, yoneda_mod.compose, yoneda_mod._omega_power
     assert all(copy is not original for copy, original in zip(copies, originals))
     assert main(VERIFY) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "verdict: PASS"

@@ -7,7 +7,6 @@ from equivext.linalg import (
     SparseMatrix,
     integer_scaled,
     kernel_of_rows,
-    nullspace_basis,
     rank,
     rank_of_rows,
     rref_vectors,
@@ -46,12 +45,11 @@ def test_identity_has_full_rank():
 
 
 def test_nullspace_of_identity_is_empty():
-    m = SparseMatrix(3, 3, {(i, i): Fraction(1) for i in range(3)})
-    assert nullspace_basis(m) == []
+    assert kernel_of_rows([{i: Fraction(1)} for i in range(3)], 3) == []
 
 
 def test_nullspace_of_zero_matrix_is_unit_vectors():
-    basis = nullspace_basis(SparseMatrix(2, 5, {}))
+    basis = kernel_of_rows([{}, {}], 5)
     assert basis == [{i: Fraction(1)} for i in range(5)]
 
 
@@ -97,7 +95,7 @@ def test_floats_are_rejected_at_the_vector_entry_points(c):
 def test_int_input_gives_fraction_output():
     # 1.0 == 1, so only a type check catches a float leaking out
     outputs = (
-        nullspace_basis(SparseMatrix(1, 2, {(0, 0): 2, (0, 1): 1}))
+        kernel_of_rows([{0: 2, 1: 1}], 2)
         + rref_vectors([{0: 2, 1: 1}], 2)
         + rref_vectors([{0: 1, 1: -1}, {0: 1, 2: 1}], 3)
         + kernel_of_rows([{0: 1, 1: 3}], 2)
@@ -112,9 +110,9 @@ def test_out_of_bounds_entry_rejected():
 
 
 def test_echelon_normal_form_leading_ones():
-    # kernel of (1 1 1) is echelonized with leading coefficient 1
-    m = dense([[1, 1, 1]])
-    basis = nullspace_basis(m)
+    # rref_vectors of the kernel of (1 1 1) has leading coefficient 1
+    rows = dense([[1, 1, 1]]).row_dicts()
+    basis = rref_vectors(kernel_of_rows(rows, 3), 3)
     assert basis == [
         {0: Fraction(1), 2: Fraction(-1)},
         {1: Fraction(1), 2: Fraction(-1)},
@@ -124,7 +122,7 @@ def test_echelon_normal_form_leading_ones():
 @given(dense_matrices())
 def test_rank_plus_nullity_is_column_count(data):
     m = dense(data)
-    assert rank(m) + len(nullspace_basis(m)) == m.cols
+    assert rank(m) + len(kernel_of_rows(m.row_dicts(), m.cols)) == m.cols
 
 
 @given(dense_matrices(), st.randoms(use_true_random=False))
@@ -150,8 +148,8 @@ def test_reversed_rows_same_rank_and_kernel_span(data):
     m = dense(data)
     reversed_m = dense(list(reversed(data)))
     assert rank(m) == rank(reversed_m)
-    k1 = nullspace_basis(m)
-    k2 = nullspace_basis(reversed_m)
+    k1 = kernel_of_rows(m.row_dicts(), m.cols)
+    k2 = kernel_of_rows(reversed_m.row_dicts(), m.cols)
     assert all(_span_contains(k2, m.cols, v) for v in k1)
     assert all(_span_contains(k1, m.cols, v) for v in k2)
 
@@ -177,13 +175,13 @@ def test_kernel_basis_is_reduced_in_descending_column_order(data):
         assert vec[last] == 1
         assert all(sum(row.get(c, 0) * v for c, v in vec.items()) == 0 for row in rows)
         assert all(last not in other for other in basis if other is not vec)
-    assert rref_vectors(basis, m.cols) == nullspace_basis(m)
 
 
 @given(dense_matrices())
-def test_nullspace_basis_is_reduced_in_ascending_column_order(data):
+def test_rref_vectors_is_reduced_in_ascending_column_order(data):
     m = dense(data)
-    basis = nullspace_basis(m)
+    basis = rref_vectors(m.row_dicts(), m.cols)
+    assert len(basis) == rank(m)
     firsts = [min(vec) for vec in basis]
     assert firsts == sorted(set(firsts))
     for vec, first in zip(basis, firsts):

@@ -19,7 +19,7 @@ from equivext.spaces import (
     invariant_basis,
 )
 from equivext.linalg import integer_scaled
-from equivext.symgroup import Permutation, full_cycle, transposition
+from equivext.symgroup import Permutation, transposition
 
 from row_reference import reference_rows
 from support import clear_caches
@@ -79,17 +79,16 @@ def test_flipped_tau_coefficient_fails_the_cycle_check(monkeypatch):
     # Flipping one entry of one tau row only shrank the kernel in every
     # block tried (n <= 4, a + b <= 2): most rows are redundant, even the
     # odd ones alone, and a lost invariant is the oracle's to catch.
-    # Flipping the tau coefficient of one orbit sum in every row turns
-    # the kernel.
+    # Flipping the tau coefficient of one orbit sum in every odd row turns
+    # the kernel, and the even rows, left as they are, catch it.
     rows = patterns_mod._rows
 
-    def flipped(f, p, q, legs, n, *args, **kwargs):
-        out = rows(f, p, q, legs, n, *args, **kwargs)
-        if f == n:
-            for row in out:
-                if 0 in row:
-                    row[0] = -row[0]
-        return out
+    def flipped(*args):
+        odd, even = rows(*args)
+        for row in odd:
+            if 0 in row:
+                row[0] = -row[0]
+        return odd, even
 
     monkeypatch.setattr(patterns_mod, "_rows", flipped)
     named = re.escape("not invariant for n=3, (p, q) = (1, 0), a + b = 1")
@@ -100,8 +99,8 @@ def test_flipped_tau_coefficient_fails_the_cycle_check(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_rows_are_the_monomial_action_at_each_representative(n):
     # _rows reads preimages off patterns; act expands index n+1 on monomials.
-    # The rows of (1 n+1) are compared with the (n+1)-cycle's action, which
-    # they stand in for, and the rows of (n n+1) with its own.
+    # Every row of tau = (n n+1), odd and even, is compared with its action.
+    tau = transposition(n + 1, n, n + 1)
     for slots, p, q in product(range(3), range(n + 1), range(n + 1)):
         s = SpaceDescriptor(n, p + q, slots, 0)
         legs = ((1 << slots) - 1) * patterns_mod._LEG
@@ -112,34 +111,30 @@ def test_rows_are_the_monomial_action_at_each_representative(n):
             _, pattern, sign = pattern_of(m, n)
             if pattern in column_of:
                 orbit_sums[column_of[pattern]][m] = sign
-        for f, g in ((1, full_cycle(n + 1)), (n, transposition(n + 1, n, n + 1))):
-            moved = [act(g, SparseVector.make(s, terms)) for terms in orbit_sums]
-            expected = []
-            others = [i for i in range(1, n + 1) if i != f]
-            for types, at in patterns_mod._representatives(p, q, legs, n, f):
-                index = others[:at] + [f] + others[at:]
-                us = [index[j] for j, t in enumerate(types) if t & patterns_mod._U]
-                vs = [index[j] for j, t in enumerate(types) if t & patterns_mod._V]
-                leg_at = [index[j] for s in range(slots) for j, t in enumerate(types)
-                          if t & patterns_mod._LEG << s]
-                wedge = tuple(("u", i) for i in us) + tuple(("v", i) for i in vs)
-                r = Monomial(wedge, tuple(leg_at), ())
-                row = {j: x.coeff(r) - orbit_sums[j].get(r, 0) for j, x in enumerate(moved)}
-                row = {j: c for j, c in row.items() if c}
-                if row:
-                    expected.append(row)
-            rows = patterns_mod._rows(f, p, q, legs, n, column_of, {})
-            assert rows == expected, (n, slots, p, q, f)
+        moved = [act(tau, SparseVector.make(s, terms)) for terms in orbit_sums]
+        expected: tuple[list, list] = ([], [])  # odd, even
+        for types in patterns_mod._representatives(p, q, legs, n):
+            index = [*range(1, len(types)), n]
+            us = [index[j] for j, t in enumerate(types) if t & patterns_mod._U]
+            vs = [index[j] for j, t in enumerate(types) if t & patterns_mod._V]
+            leg_at = [index[j] for s in range(slots) for j, t in enumerate(types)
+                      if t & patterns_mod._LEG << s]
+            wedge = tuple(("u", i) for i in us) + tuple(("v", i) for i in vs)
+            r = Monomial(wedge, tuple(leg_at), ())
+            row = {j: x.coeff(r) - orbit_sums[j].get(r, 0) for j, x in enumerate(moved)}
+            row = {j: c for j, c in row.items() if c}
+            if row:
+                expected[types[-1].bit_count() % 2 == 0].append(row)
+        rows = patterns_mod._rows(p, q, legs, n, column_of)
+        assert rows == expected, (n, slots, p, q)
 
 
 def _assert_rows_match_the_reference(n: int, p: int, q: int, slots: int):
-    # f = n at the odd representatives, as the kernel is solved; f = 1 at
-    # every one, as it is checked.
+    # The odd rows, as the kernel is solved, and the even ones, as it is checked.
     legs = ((1 << slots) - 1) * patterns_mod._LEG
     column_of = {pattern: j for j, pattern in enumerate(patterns_mod._patterns(p, q, legs, n))}
-    for f, odd in ((n, True), (1, False)):
-        rows = patterns_mod._rows(f, p, q, legs, n, column_of, {}, odd)
-        assert rows == reference_rows(f, p, q, legs, n, column_of, odd), (n, p, q, slots, f)
+    rows = patterns_mod._rows(p, q, legs, n, column_of)
+    assert rows == reference_rows(p, q, legs, n, column_of), (n, p, q, slots)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -157,11 +152,11 @@ def test_grouped_rows_equal_the_reference_on_samples(case):
     _assert_rows_match_the_reference(*case)
 
 
-def _tau_rows(n: int, p: int, q: int, slots: int, odd: bool = False):
-    """Rows of (tau - I) at every representative (or the odd ones), and each pattern's column."""
+def _tau_rows(n: int, p: int, q: int, slots: int):
+    """The odd and the even rows of (tau - I), and each pattern's column."""
     legs = ((1 << slots) - 1) * patterns_mod._LEG
     column_of = {pattern: j for j, pattern in enumerate(patterns_mod._patterns(p, q, legs, n))}
-    return patterns_mod._rows(n, p, q, legs, n, column_of, {}, odd), column_of
+    return *patterns_mod._rows(p, q, legs, n, column_of), column_of
 
 
 # Every (n, a + b) up to n = 5 and a + b = 4 was checked once this way; the
@@ -177,51 +172,44 @@ def test_odd_tau_rows_give_the_all_row_kernel(n, slots):
     # bases are reduced, so they are then equal.
     for p in range(n + 1):
         for q in range(n + 1):
-            rows, column_of = _tau_rows(n, p, q, slots)
-            odd, _ = _tau_rows(n, p, q, slots, odd=True)
-            every = {frozenset(row.items()) for row in rows}
-            assert all(frozenset(row.items()) in every for row in odd)
+            odd, even, column_of = _tau_rows(n, p, q, slots)
             for vec in patterns_mod._kernel(n, p, q, slots):
                 _, ints = integer_scaled({column_of[pattern]: c for pattern, c in vec.items()})
                 assert not any(
-                    sum(c * ints.get(j, 0) for j, c in row.items()) for row in rows
+                    sum(c * ints.get(j, 0) for j, c in row.items()) for row in odd + even
                 ), (n, p, q, slots)
 
 
 def test_tau_rows_at_even_representatives_fail_the_cycle_check(monkeypatch):
     # Only the odd rows of tau suffice; the even ones alone leave
-    # non-invariants in the kernel of some blocks, and the rows of (1 n+1),
-    # which are the cycle's, catch them.
-    representatives = patterns_mod._representatives
+    # non-invariants in the kernel of some blocks, and the odd rows, then
+    # only checked, catch them.
+    rows = patterns_mod._rows
 
-    def even(p, q, legs, n, f, odd=False):
-        for types, at in representatives(p, q, legs, n, f):
-            if not odd or types[at].bit_count() % 2 == 0:
-                yield types, at
+    def swapped(*args):
+        odd, even = rows(*args)
+        return even, odd
 
-    monkeypatch.setattr(patterns_mod, "_representatives", even)
+    monkeypatch.setattr(patterns_mod, "_rows", swapped)
     named = re.escape("not invariant for n=4, (p, q) = (2, 1), a + b = 2")
     with pytest.raises(RuntimeError, match=named):
         pattern_dim(SpaceDescriptor(4, 3, 1, 1))
 
 
 def _block_rows(n: int, p: int, q: int, slots: int):
-    """A block's columns, its odd (n n+1) rows and its (1 n+1) rows, keyed by pattern."""
+    """A block's columns, its odd tau rows and its even tau rows, keyed by pattern."""
     legs = ((1 << slots) - 1) * patterns_mod._LEG
     columns = patterns_mod._patterns(p, q, legs, n)
     column_of = {pattern: j for j, pattern in enumerate(columns)}
-
-    def keyed(f: int, odd: bool):
-        rows = patterns_mod._rows(f, p, q, legs, n, column_of, {}, odd)
-        return [{columns[j]: c for j, c in row.items()} for row in rows]
-
-    return columns, keyed(n, True), keyed(1, False)
+    odd, even = patterns_mod._rows(p, q, legs, n, column_of)
+    keyed = [[{columns[j]: c for j, c in row.items()} for row in rows] for rows in (odd, even)]
+    return columns, *keyed
 
 
 def test_block_rows_are_the_same_for_every_n_past_the_slot_count():
     # From n = p + q + a + b + 1 on, every pattern fits in n - 1 types, and
     # a row moves slots only between its representative's own indices and
-    # f, so no further index enters: the rows are the same lists for all n.
+    # n, so no further index enters: the rows are the same lists for all n.
     compared = 0
     for p, q, slots in product(range(5), range(5), range(3)):
         if p + q > 4:
@@ -238,6 +226,12 @@ def test_every_table_family_at_n7_matches_the_closed_form():
         dims = [pattern_dim(SpaceDescriptor(7, k, a, b)) for k in range(15)]
         assert dims == list(formula_table(family, 7).dims), family
     assert time.perf_counter() - start < 20
+
+
+def test_pattern_columns_list_the_u_v_types_from_the_most_down():
+    # The column order of every kernel: two u|v types, then one with a
+    # u-only and a v-only type; two of each is inconsistent.
+    assert patterns_mod._patterns(2, 2, 0, 4) == ((3, 3), (1, 2, 3))
 
 
 def test_pattern_lists_are_memoised_until_the_caches_are_cleared():
