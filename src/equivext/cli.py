@@ -30,8 +30,10 @@ Subcommands:
   a usage error.
 * ``table``: one closed-form family next to its raw recomputation
   (pattern dimensions).
-* ``invariants``: dimension (and optionally the echelonized basis) of a
-  single space.
+* ``invariants``: dimension of a single space, the pattern kernel size
+  checked against the character oracle (:func:`spaces.checked_dim`);
+  only ``--print-bases`` materialises the echelonized basis, itself
+  checked against the oracle.
 
 JSON reports are deterministic: two runs with the same configuration
 produce byte-identical output. ``verify`` runs the per-n jobs one after
@@ -456,28 +458,26 @@ def cmd_table(which: str, n: int, fmt: str) -> str:
 
 
 def cmd_invariants(n: int, k: int, a: int, b: int, print_bases: bool, fmt: str) -> str:
-    from .spaces import SpaceDescriptor, invariant_basis, space_dim
+    from .spaces import SpaceDescriptor, checked_dim, invariant_basis, space_dim
 
     s = SpaceDescriptor(n, k, a, b)
-    basis = invariant_basis(s)
+    vectors = [v.render() for v in invariant_basis(s).vectors] if print_bases else []
+    dim = len(vectors) if print_bases else checked_dim(s)
     untested = not s.validated_legs
     if fmt == "json":
         payload = {
             "descriptor": {"n": n, "k": k, "dual_legs": a, "legs": b},
             "space_dim": space_dim(s),
-            "dim": basis.dim,
+            "dim": dim,
             "untested_legs": untested,
         }
         if print_bases:
-            payload["basis"] = [v.render() for v in basis.vectors]
+            payload["basis"] = vectors
         return _json(payload)
-    lines = [f"dim {basis.dim}"]
+    lines = [f"dim {dim}"]
     if untested:
         lines.append("note: leg counts above 1 are outside the validated paths (untested)")
-    if print_bases:
-        for v in basis.vectors:
-            lines.append(v.render())
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + vectors) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:

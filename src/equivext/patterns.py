@@ -50,12 +50,14 @@ passes is invariant.
 Dual and plain legs are acted on alike, so a block's kernel depends on
 (n, p, q, a + b) only and is memoised on that key. The kernel is the one
 source of invariants: :func:`pattern_dim` counts it,
-:func:`equivext.spaces.invariant_basis` expands it to monomials and
-checks the result on its integer action tables, and :func:`read_orbits`
-reads an image back in orbit-sum coordinates from its coefficients at
-two monomials per orbit (:func:`orbit_readings`), checking the readings
-against each other and the result against the kernel. A monomial's
-block, pattern and orbit-sum sign are read through :func:`pattern_of`.
+:func:`equivext.spaces.checked_dim` compares the count with the
+character oracle, :func:`equivext.spaces.invariant_basis` expands it
+to monomials and checks the result on its integer action tables, and
+:func:`read_orbits` reads an image back in orbit-sum coordinates from
+its coefficients at two monomials per orbit (:func:`orbit_readings`),
+checking the readings against each other and the result against the
+kernel. A monomial's block, pattern and orbit-sum sign are read through
+:func:`pattern_of`.
 
 >>> from equivext.spaces import SpaceDescriptor
 >>> [pattern_dim(SpaceDescriptor(n=4, k=k, a=1, b=1)) for k in range(9)]
@@ -299,6 +301,12 @@ def block_kernel(s: SpaceDescriptor, p: int) -> Kernel:
     pattern has coefficient ``sign`` on each monomial for which
     :func:`pattern_of` gives that pattern and ``sign``. Every vector is
     checked against every row of tau, odd and even (module docstring).
+
+    A vector's first key is its free pattern, the one that
+    :func:`equivext.linalg.kernel_of_rows` writes first: the vector's last
+    pattern in :func:`_patterns` order, with coefficient 1, where no
+    other vector is nonzero. So the kernel is in reduced echelon form on
+    the first keys, and :func:`read_orbits` reduces at them.
     """
     return _kernel(s.n, p, s.k - p, s.a + s.b)
 
@@ -371,8 +379,8 @@ def read_orbits(s: SpaceDescriptor, p: int, readings, terms: dict) -> dict[tuple
     * each consistent orbit's reverse coefficient is ``sign`` times its
       forward one, and both coefficients of an inconsistent orbit are 0;
     * the coordinates reduce to zero against the block's pattern kernel,
-      at each vector's last pattern in :func:`_patterns` order, where no
-      other vector is nonzero, so they lie in the invariants.
+      each vector at its first key (:func:`block_kernel`), so they lie in
+      the invariants.
 
     Only the two monomials of each orbit are read, so these checks do not
     prove ``terms`` invariant; they catch a wrong image of a map that is
@@ -387,11 +395,9 @@ def read_orbits(s: SpaceDescriptor, p: int, readings, terms: dict) -> dict[tuple
             raise ValueError(f"coefficients vary on an orbit of {s}")
         if x:
             coords[pattern] = x
-    legs = ((1 << (s.a + s.b)) - 1) * _LEG
-    order = {pattern: j for j, pattern in enumerate(_patterns(p, s.k - p, legs, s.n))}
     residue = dict(coords)
     for vec in block_kernel(s, p):
-        coord = residue.get(max(vec, key=order.__getitem__))
+        coord = residue.get(next(iter(vec)))
         if coord:
             _add_into(residue, vec.items(), -coord)
     if residue:

@@ -28,11 +28,13 @@ wedges of the checked vectors, and dropped with the block. Reduced
 echelon bases are unique, so the output is reproducible bit for bit no
 matter how the kernel was obtained.
 
-This module materialises invariant vectors, which ``invariants`` and
-printed bases need. Callers that need only a dimension use
-:func:`equivext.patterns.pattern_dim`. The rank battery builds no basis:
-it reads its images with :func:`equivext.patterns.read_orbits`, and only
-its sources with legs are written out on their blocks and checked here,
+This module materialises invariant vectors, which only printed bases
+need. Callers that need only a dimension use
+:func:`equivext.patterns.pattern_dim`, or :func:`checked_dim`, which
+also compares it with the character oracle, as ``invariants`` and the
+rank battery do. The rank battery builds no basis: it reads its images
+with :func:`equivext.patterns.read_orbits`, and only its sources with
+legs are written out on their blocks and checked here,
 by :func:`_invariant_vectors_block`. Each basis :func:`invariant_basis`
 returns is checked against the character oracle; none is memoised.
 
@@ -50,7 +52,7 @@ from typing import NamedTuple
 
 from .characters import invariant_dim
 from .linalg import _add_into, integer_scaled, rref_vectors
-from .patterns import Kernel, block_kernel, pattern_of
+from .patterns import Kernel, block_kernel, pattern_dim, pattern_of
 from .symgroup import Permutation, generators
 
 Gen = tuple[str, int]  # ("u" | "v", index in 1..n)
@@ -402,6 +404,20 @@ def _invariant_vectors_block(
         if not all(table.fixes(vec) for vec in vectors):
             raise RuntimeError(f"computed vector not invariant in {s}")
     return vectors
+
+
+def checked_dim(s: SpaceDescriptor) -> int:
+    """Dimension of the invariants of ``s``: :func:`pattern_dim`, checked against the oracle.
+
+    The kernel sizes of the pattern engine are compared with
+    :func:`equivext.characters.invariant_dim`, which averages characters
+    and shares no code with the kernel's rows; raises on disagreement.
+    No monomial is listed.
+    """
+    dim, expected = pattern_dim(s), invariant_dim(s)
+    if dim != expected:
+        raise RuntimeError(f"invariant subspace of {s} has dimension {dim}, oracle {expected}")
+    return dim
 
 
 def invariant_basis(s: SpaceDescriptor) -> InvariantBasis:

@@ -43,9 +43,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .characters import invariant_dim
 from .linalg import SparseMatrix, _add_into, integer_scaled, rank, rank_of_rows
-from .patterns import _U, _V, block_kernel, orbit_readings, pattern_dim, pattern_of, read_orbits
+from .patterns import _U, _V, block_kernel, orbit_readings, pattern_of, read_orbits
 from .spaces import (
     InvariantBasis,
     Monomial,
@@ -57,6 +56,7 @@ from .spaces import (
     _normal_form,
     _sort_wedge,
     act,
+    checked_dim,
     invariant_basis,
 )
 from .symgroup import generators
@@ -392,9 +392,7 @@ def image_coordinates(c: DistinguishedClass, side: str, source: SpaceDescriptor)
     """
     target = _map_target(c.space, side, source)
     for s in (source, target):
-        dim, expected = pattern_dim(s), invariant_dim(s)
-        if dim != expected:
-            raise RuntimeError(f"invariant subspace of {s} has dimension {dim}, oracle {expected}")
+        checked_dim(s)
     vectors = _source_vectors(source)
     shifts = {sum(letter == "u" for letter, _ in t.wedge) for t in c.value.terms}
     readings = {}  # target block -> (pattern, forward, reverse, sign) per orbit

@@ -86,6 +86,46 @@ def test_verify_report_bytes_match_the_benchmark_references(capsys, command):
             "verify --n-min 2 --n-max 3 --check-remark",
             "4f5080bd516d3ca6aab53906142800923d86984a6291c2c981980a1e77f465d6",
         ),
+        (
+            "invariants --n 2 --k 2",
+            "3025b51f984c798b6905fa09adeb9e2fb990ca8de38b237922803ee5267293b2",
+        ),
+        (
+            "invariants --n 2 --k 2 --format json",
+            "dde3ee584d3a9b51d0f58e35c0a7cc5c967feb30844c1c10df0764fbd841f178",
+        ),
+        (
+            "invariants --n 3 --k 2 --dual 1 --rho 1",
+            "f428f1681fcaeba42976aac8629b97f78924e3d4e07d6696b156bb95ed6fddfb",
+        ),
+        (
+            "invariants --n 3 --k 2 --dual 1 --rho 1 --format json",
+            "e48194d9e39ee372f79ec7e2a5a12b8c2b3bd379ac59b98ae76d38349ae2eeab",
+        ),
+        (
+            "invariants --n 2 --k 0 --rho 2",
+            "8b60c7c8dd173e57cea7e4fb819ca0bb15f56f96326683cf3046e07b5d69b013",
+        ),
+        (
+            "invariants --n 2 --k 0 --rho 2 --format json",
+            "b3a78b2ce494407019b6343f8c58809c5ac3891345c871da9656569f03c19b44",
+        ),
+        (
+            "invariants --n 3 --k 3 --dual 2 --rho 2",
+            "3592267d982ca18dadb317cdce96d929092e1bad90c848233e35df649fb93798",
+        ),
+        (
+            "invariants --n 3 --k 3 --dual 2 --rho 2 --format json",
+            "e77463fb49fc8f31d76a3a8d9d570879277ff2809f6a0003f770c44ea45df740",
+        ),
+        (
+            "invariants --n 8 --k 8 --dual 1 --rho 1",
+            "b1ee72d16c723a9b83719541d126948fd52ddc08589da3be8a60ff7efbbd3e55",
+        ),
+        (
+            "invariants --n 8 --k 8 --dual 1 --rho 1 --format json",
+            "eae5dd9f02526a0b5668a2bc9e7a659d37fbd3646f4713893217bef655430207",
+        ),
     ],
 )
 def test_output_bytes_are_pinned(capsys, command, expected):
@@ -464,12 +504,38 @@ def test_printed_bases_are_checked_against_the_oracle(monkeypatch):
 
 
 def test_invariants_refuses_a_basis_the_oracle_disagrees_with(monkeypatch, capsys):
+    # A dimension-only call compares the kernel size with the oracle
+    # (spaces.checked_dim), a --print-bases call the basis it builds.
     bad = spaces_mod.SpaceDescriptor(3, 2, 1, 1)
     oracle = spaces_mod.invariant_dim
     monkeypatch.setattr(spaces_mod, "invariant_dim", lambda s: oracle(s) + (s == bad))
-    assert main(["invariants", "--n", "3", "--k", "2", "--dual", "1", "--rho", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "has dimension" in err and "oracle" in err
+    argv = ["invariants", "--n", "3", "--k", "2", "--dual", "1", "--rho", "1"]
+    for extra, what in (([], "subspace"), (["--print-bases"], "basis")):
+        assert main(argv + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"internal error: invariant {what} of {bad} has dimension 6, oracle 7" in err
+
+
+def test_dimension_only_invariants_list_no_monomials(monkeypatch, capsys):
+    def boom(*args):
+        raise AssertionError(f"monomials listed: {args}")
+
+    monkeypatch.setattr(spaces_mod, "_block", boom)
+    monkeypatch.setattr(spaces_mod, "invariant_basis", boom)
+    for argv in ("--n 8 --k 8 --dual 1 --rho 1", "--n 3 --k 3 --dual 2 --rho 2"):
+        code, out = run_cli(capsys, ["invariants", *argv.split(), "--format", "json"])
+        assert code == 0 and json.loads(out)["dim"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dimension_only_invariants_count_the_materialised_basis(n):
+    for k in range(2 * n + 1):
+        for a in range(3):
+            for b in range(3 - a):
+                s = spaces_mod.SpaceDescriptor(n, k, a, b)
+                dim = json.loads(cmd_invariants(n, k, a, b, False, "json"))["dim"]
+                assert dim == len(spaces_mod.invariant_basis(s).vectors), s
 
 
 def _python(*args, **env) -> subprocess.CompletedProcess:
@@ -515,6 +581,14 @@ FOOTPRINT = textwrap.dedent(
         (["--help"], set()),
         (
             ["invariants", "--n", "2", "--k", "1"],
+            {"characters", "linalg", "patterns", "spaces", "symgroup"},
+        ),
+        (
+            ["invariants", "--n", "3", "--k", "2", "--dual", "1", "--rho", "1"],
+            {"characters", "linalg", "patterns", "spaces", "symgroup"},
+        ),
+        (
+            ["invariants", "--n", "3", "--k", "2", "--dual", "1", "--rho", "1", "--print-bases"],
             {"characters", "linalg", "patterns", "spaces", "symgroup"},
         ),
         (

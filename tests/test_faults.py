@@ -7,9 +7,11 @@ fault inside a function body replaces the function with a copy whose
 source has one substring changed (:func:`patch_source`). With
 any of them, ``verify --n-min 3 --n-max 3 --check-remark`` must exit 1
 with a FAIL verdict, or exit 2 with an internal error that names the
-stage. The pattern kernels and the oracle are memoised, so every engine
-memo is cleared before and after each fault: no number computed without
-the fault hides it, and none computed with it outlives it.
+stage. The re-sort and oracle faults must also make a dimension-only
+``invariants`` call exit 2. The pattern kernels and the oracle are
+memoised, so every engine memo is cleared before and after each fault:
+no number computed without the fault hides it, and none computed with
+it outlives it.
 """
 
 import __future__
@@ -221,6 +223,26 @@ def test_verify_catches_the_fault(monkeypatch, capsys, fault):
         assert fault not in STAGES
         assert code == 1
         assert out.splitlines()[-1] == "verdict: FAIL"
+
+
+# W(3; 2, 1, 1): the flipped re-sort sign passes the tau check but leaves a
+# kernel of size 2, where the oracle counts 6; the wrong class size makes
+# the oracle's character average non-integral.
+DIMENSION_ONLY_FAULTS = {
+    "row_resort_sign_flipped": "invariant subspace of SpaceDescriptor(n=3, k=2, a=1, b=1) "
+    "has dimension 2, oracle 6",
+    "class_size_off_by_one": "non-integral invariant average",
+}
+
+
+@pytest.mark.parametrize("fault", DIMENSION_ONLY_FAULTS)
+def test_dimension_only_invariants_catches_the_fault(monkeypatch, capsys, fault):
+    FAULTS[fault](monkeypatch)
+    code = main(["invariants", "--n", "3", "--k", "2", "--dual", "1", "--rho", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("internal error: ") and DIMENSION_ONLY_FAULTS[fault] in err
 
 
 def test_an_unchanged_source_copy_passes(monkeypatch, capsys):

@@ -228,6 +228,26 @@ def test_every_table_family_at_n7_matches_the_closed_form():
     assert time.perf_counter() - start < 20
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_each_kernel_vector_leads_with_its_own_last_pattern(n):
+    # read_orbits reduces each vector at its first key: the free pattern, last
+    # in column order, with coefficient 1, and absent from every other vector.
+    checked = 0
+    for a, b in sorted(set(TABLE_FAMILIES.values())):
+        legs = ((1 << (a + b)) - 1) * patterns_mod._LEG
+        for k in range(2 * n + 1):
+            for p in range(max(0, k - n), min(k, n) + 1):
+                columns = patterns_mod._patterns(p, k - p, legs, n)
+                kernel = patterns_mod.block_kernel(SpaceDescriptor(n, k, a, b), p)
+                for vec in kernel:
+                    first = next(iter(vec))
+                    assert vec[first] == 1
+                    assert first == max(vec, key=columns.index)
+                    assert sum(first in other for other in kernel) == 1
+                    checked += 1
+    assert checked
+
+
 def test_pattern_columns_list_the_u_v_types_from_the_most_down():
     # The column order of every kernel: two u|v types, then one with a
     # u-only and a v-only type; two of each is inconsistent.

@@ -566,10 +566,10 @@ def test_map_rank_checks_both_spaces_against_the_oracle(monkeypatch, wrong):
     theta = build_class("theta(v)", 2)
     source = SpaceDescriptor(2, 1, 1, 0)
     bad = source if wrong == "source" else SpaceDescriptor(2, 2, 1, 1)
-    # Both pattern dimensions are checked in yoneda; no source basis is built.
-    oracle = yoneda_mod.invariant_dim
+    # Both pattern dimensions are checked by spaces.checked_dim; no source basis is built.
+    oracle = spaces_mod.invariant_dim
     clear_caches()
-    monkeypatch.setattr(yoneda_mod, "invariant_dim", lambda s: oracle(s) + (s == bad))
+    monkeypatch.setattr(spaces_mod, "invariant_dim", lambda s: oracle(s) + (s == bad))
     with pytest.raises(RuntimeError, match="has dimension"):
         map_rank(theta, "push", source)
 
@@ -580,8 +580,8 @@ def test_cleared_caches_rerun_the_oracle_check(monkeypatch):
     source = SpaceDescriptor(2, 1, 1, 0)
     map_rank(theta, "push", source)
     clear_caches()
-    oracle = yoneda_mod.invariant_dim
-    monkeypatch.setattr(yoneda_mod, "invariant_dim", lambda s: oracle(s) + 1)
+    oracle = spaces_mod.invariant_dim
+    monkeypatch.setattr(spaces_mod, "invariant_dim", lambda s: oracle(s) + 1)
     with pytest.raises(RuntimeError, match="has dimension"):
         map_rank(theta, "push", source)
 
