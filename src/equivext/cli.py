@@ -462,7 +462,7 @@ def cmd_invariants(n: int, k: int, a: int, b: int, print_bases: bool, fmt: str) 
 
     s = SpaceDescriptor(n, k, a, b)
     vectors = [v.render() for v in invariant_basis(s).vectors] if print_bases else []
-    dim = len(vectors) if print_bases else checked_dim(s)
+    dim = checked_dim(s)
     untested = not s.validated_legs
     if fmt == "json":
         payload = {

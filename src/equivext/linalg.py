@@ -128,6 +128,8 @@ def kernel_of_rows(rows, ncols: int) -> list[dict[int, Fraction]]:
     rows' entries at f. It depends only on the row space, and it is the
     kernel's reduced echelon form in descending column order: each
     vector's last nonzero column is its f, and no other vector touches f.
+    Each vector's first key is its f, with coefficient 1; callers reduce
+    against the kernel at that key.
     """
     work = [dict(r) for r in rows]
     pivot_of_col = _eliminate(work, ncols)

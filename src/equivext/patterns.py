@@ -302,11 +302,9 @@ def block_kernel(s: SpaceDescriptor, p: int) -> Kernel:
     :func:`pattern_of` gives that pattern and ``sign``. Every vector is
     checked against every row of tau, odd and even (module docstring).
 
-    A vector's first key is its free pattern, the one that
-    :func:`equivext.linalg.kernel_of_rows` writes first: the vector's last
-    pattern in :func:`_patterns` order, with coefficient 1, where no
-    other vector is nonzero. So the kernel is in reduced echelon form on
-    the first keys, and :func:`read_orbits` reduces at them.
+    A vector's first key is its free pattern, as
+    :func:`equivext.linalg.kernel_of_rows` states for its free columns;
+    :func:`read_orbits` reduces at it.
     """
     return _kernel(s.n, p, s.k - p, s.a + s.b)
 

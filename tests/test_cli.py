@@ -528,16 +528,6 @@ def test_dimension_only_invariants_list_no_monomials(monkeypatch, capsys):
         assert code == 0 and json.loads(out)["dim"]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_dimension_only_invariants_count_the_materialised_basis(n):
-    for k in range(2 * n + 1):
-        for a in range(3):
-            for b in range(3 - a):
-                s = spaces_mod.SpaceDescriptor(n, k, a, b)
-                dim = json.loads(cmd_invariants(n, k, a, b, False, "json"))["dim"]
-                assert dim == len(spaces_mod.invariant_basis(s).vectors), s
-
-
 def _python(*args, **env) -> subprocess.CompletedProcess:
     """Run a fresh interpreter with the package on its path and ``env`` set."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
@@ -581,10 +571,6 @@ FOOTPRINT = textwrap.dedent(
         (["--help"], set()),
         (
             ["invariants", "--n", "2", "--k", "1"],
-            {"characters", "linalg", "patterns", "spaces", "symgroup"},
-        ),
-        (
-            ["invariants", "--n", "3", "--k", "2", "--dual", "1", "--rho", "1"],
             {"characters", "linalg", "patterns", "spaces", "symgroup"},
         ),
         (
